@@ -8,7 +8,6 @@ idempotent given their completed checkpoints.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -29,9 +28,10 @@ from .ground_motion import (
 )
 from .identification import IdentificationConfig, TargetRecord, identify, write_params_csv
 from .kde import kristan_bandwidth, sample_theta, save_model_csv as save_kde_csv
-from .learning import Kernel, Pool, active_learn, simple_classifier_prbp, train_svm
+from .learning import Kernel, Pool, SvmModel, active_learn, simple_classifier_prbp, train_svm
 from .oscillator import PRESETS, solve_linear, solve_nonlinear
 from .rng import stream
+from .table import atomic_write, read_table, write_table
 
 LEARN_SCHEDULE = (10, 20, 50, 100, 200, 500, 1000)
 FRAGILITY_SCHEDULE = (20, 50, 100, 200, 500, 1000)
@@ -116,7 +116,7 @@ def _convert(type_name, raw):
 
 def save_config(cfg: RunConfig, path: Path) -> None:
     lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(RunConfig)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +132,24 @@ def _features_path(cfg: RunConfig, out: Path) -> Path:
     return out / f"features_{cfg.preset}.csv"
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def cmd_generate(cfg: RunConfig) -> Path:
     """Sample parameters, synthesize the pool, extract features.
 
     Work proceeds in batches; a finished batch leaves a part file, so an
     interrupted run resumes where it stopped and reproduces identical output.
+    An out_dir whose pool was generated with another seed, pool_size or
+    batch_size is refused: its signals and part files belong to that pool.
     """
     out = Path(cfg.out_dir)
     (out / "signals").mkdir(parents=True, exist_ok=True)
+    if (out / "config.txt").exists():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            previous = load_config(str(out / "config.txt"), {})
+        keys = ("seed", "pool_size", "batch_size")
+        changed = [k for k in keys if getattr(previous, k) != getattr(cfg, k)]
+        if changed:
+            raise ValueError(f"{out} holds a pool generated with other {', '.join(changed)}")
     save_config(cfg, out / "config.txt")
     ensemble = reference_ensemble()
     write_ensemble_csv(out / "ensemble.csv", ensemble)
@@ -153,51 +157,40 @@ def cmd_generate(cfg: RunConfig) -> Path:
     save_kde_csv(out / "kde_model.csv", kde_model)
     structure = cfg.structure
 
+    columns = ["id", *FEATURE_NAMES]
     n_batches = (cfg.pool_size + cfg.batch_size - 1) // cfg.batch_size
-    part_paths = []
+    rows = []
     for b in range(n_batches):
         part = out / f"features_{cfg.preset}_part{b:04d}.csv"
-        part_paths.append(part)
-        if part.exists():
-            continue
-        lo = b * cfg.batch_size
-        hi = min(lo + cfg.batch_size, cfg.pool_size)
-        rows = []
-        for i in range(lo, hi):
-            params = sample_theta(kde_model, stream(cfg.seed, "theta", i))
-            sig_path = _signal_path(out, i)
-            if sig_path.exists():
-                sig = read_signal_binary(sig_path)
-            else:
-                raw = synthesize(params, dt=0.01, rng=stream(cfg.seed, "signal", i))
-                sig = highpass_correct(raw)
-                write_signal_binary(sig_path, sig)
-            lin_disp = float(np.max(np.abs(solve_linear(sig, structure).samples)))
-            vec = extract(sig, params.as_vector(), lin_disp).as_array()
-            rows.append((i, vec))
-        text = "".join(
-            f"{i}," + ",".join(f"{v:.17g}" for v in vec) + "\n" for i, vec in rows
-        )
-        _atomic_write_text(part, text)
+        done = read_table(part) if part.exists() else None
+        if done is None or done.columns != columns:
+            batch = []
+            for i in range(b * cfg.batch_size, min((b + 1) * cfg.batch_size, cfg.pool_size)):
+                params = sample_theta(kde_model, stream(cfg.seed, "theta", i))
+                sig_path = _signal_path(out, i)
+                if sig_path.exists():
+                    sig = read_signal_binary(sig_path)
+                else:
+                    raw = synthesize(params, dt=0.01, rng=stream(cfg.seed, "signal", i))
+                    sig = highpass_correct(raw)
+                    write_signal_binary(sig_path, sig)
+                lin_disp = float(np.max(np.abs(solve_linear(sig, structure).samples)))
+                batch.append([i, *extract(sig, params.as_vector(), lin_disp).as_array()])
+            write_table(part, columns, batch)
+            done = read_table(part)
+        rows += done.rows
 
-    header = "id," + ",".join(FEATURE_NAMES) + "\n"
-    body = "".join(p.read_text(encoding="utf-8") for p in part_paths)
-    _atomic_write_text(_features_path(cfg, out), header + body)
+    write_table(_features_path(cfg, out), columns, rows)
     return _features_path(cfg, out)
 
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """(ids, feature matrix) from a features CSV."""
-    ids, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["id"] + list(FEATURE_NAMES):
-            raise ValueError(f"{path}: unexpected feature columns")
-        for row in reader:
-            ids.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
-    return np.asarray(ids), np.asarray(rows)
+    table = read_table(path)
+    if table.columns != ["id", *FEATURE_NAMES]:
+        raise ValueError(f"{path}: unexpected feature columns")
+    values = table.floats()
+    return values[:, 0].astype(int), np.ascontiguousarray(values[:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -214,32 +207,21 @@ def cmd_labels(cfg: RunConfig) -> Path:
     ids, raw = read_features_csv(_features_path(cfg, out))
     structure = cfg.structure
     kept = prep.filter_pool(raw[:, 12], structure.yield_y)
-    lines = ["id,pga,pgv,pgd,energy,lin_disp,max_nonlinear,label\n"]
+    rows = []
     for i in kept:
         sig = read_signal_binary(_signal_path(out, int(ids[i])))
         z = float(np.max(np.abs(solve_nonlinear(sig, structure).samples)))
-        label = 1 if z > structure.threshold else -1
-        pga, pgv, pgd, energy, lin_disp = raw[i, 8:13]
-        lines.append(
-            f"{ids[i]},{pga:.17g},{pgv:.17g},{pgd:.17g},{energy:.17g},"
-            f"{lin_disp:.17g},{z:.17g},{label}\n"
-        )
+        rows.append([ids[i], *raw[i, 8:13], z, 1 if z > structure.threshold else -1])
     path = _labels_path(cfg, out)
-    _atomic_write_text(path, "".join(lines))
+    columns = ["id", "pga", "pgv", "pgd", "energy", "lin_disp", "max_nonlinear", "label"]
+    write_table(path, columns, rows)
     return path
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(kept ids, Z values, labels) from a labels CSV."""
-    ids, zs, labels = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            ids.append(int(row[0]))
-            zs.append(float(row[6]))
-            labels.append(int(row[7]))
-    return np.asarray(ids), np.asarray(zs), np.asarray(labels)
+    values = read_table(path).floats()
+    return values[:, 0].astype(int), values[:, 6], values[:, 7].astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +237,7 @@ def _build_pool(cfg: RunConfig, out: Path):
     raw_kept = raw[kept_rows]
     structure = cfg.structure
     model = prep.fit(raw_kept, (structure.yield_y, 6 * structure.yield_y))
-    transformed = prep.apply(model, raw_kept, view=cfg.feature_set if cfg.feature_set == "r4" else "r13")
+    transformed = prep.apply(model, raw_kept, view=cfg.feature_set)
     pool = Pool(
         features=transformed,
         raw_pga=raw_kept[:, 8],
@@ -270,30 +252,26 @@ def _learn_dir(cfg: RunConfig, out: Path) -> Path:
 
 
 def _write_model_csv(path: Path, state, kept_ids, kernel: Kernel, cost: float) -> None:
-    lines = [
-        f"# kernel={kernel.kind}\n",
-        f"# gamma={kernel.gamma if kernel.gamma else ''}\n",
-        f"# cost={cost:.17g}\n",
-        f"# bias={state.model.bias:.17g}\n",
-        "order,pool_index,signal_id,label,coefficient\n",
-    ]
-    for pos, (idx, lab) in enumerate(zip(state.labeled_indices, state.labels)):
-        coef = state.model.coefficients[pos]
-        lines.append(f"{pos},{idx},{int(kept_ids[idx])},{lab},{coef:.17g}\n")
-    _atomic_write_text(path, "".join(lines))
+    write_table(
+        path,
+        ["order", "pool_index", "signal_id", "label", "coefficient"],
+        (
+            [pos, idx, kept_ids[idx], lab, coef]
+            for pos, (idx, lab, coef) in enumerate(
+                zip(state.labeled_indices, state.labels, state.model.coefficients)
+            )
+        ),
+        meta={"kernel": kernel.kind, "gamma": kernel.gamma, "cost": cost,
+              "bias": state.model.bias},
+    )
 
 
-def read_model_csv(path) -> tuple[list[int], list[int]]:
-    """(labeled pool indices in query order, labels) from a model CSV."""
-    indices, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("order,"):
-                continue
-            parts = line.strip().split(",")
-            indices.append(int(parts[1]))
-            labels.append(int(parts[3]))
-    return indices, labels
+def read_model_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(labeled pool indices in query order, labels, coefficients, meta) from a model CSV."""
+    table = read_table(path)
+    values = table.floats()
+    indices, labels = values[:, 1].astype(int), values[:, 3].astype(int)
+    return indices, labels, np.ascontiguousarray(values[:, 4]), table.meta
 
 
 def cmd_learn(cfg: RunConfig) -> Path:
@@ -305,15 +283,11 @@ def cmd_learn(cfg: RunConfig) -> Path:
     schedule = tuple(n for n in LEARN_SCHEDULE if n <= cfg.budget)
 
     prep.save_model_csv(out / f"preprocess_{cfg.preset}.csv", prep_model)
-    transformed_lines = [
-        "id," + ",".join(f"x_{j}" for j in range(pool_template.features.shape[1])) + "\n"
-    ]
-    for kid, row in zip(kept_ids, pool_template.features):
-        transformed_lines.append(
-            f"{int(kid)}," + ",".join(f"{v:.17g}" for v in row) + "\n"
-        )
-    _atomic_write_text(
-        out / f"transformed_{cfg.preset}_{cfg.feature_set}.csv", "".join(transformed_lines)
+    dim = pool_template.features.shape[1]
+    write_table(
+        out / f"transformed_{cfg.preset}_{cfg.feature_set}.csv",
+        ["id", *(f"x_{j}" for j in range(dim))],
+        ([kid, *row] for kid, row in zip(kept_ids, pool_template.features)),
     )
 
     per_run_prbp = {n: [] for n in schedule}
@@ -333,33 +307,32 @@ def cmd_learn(cfg: RunConfig) -> Path:
             eval_at=schedule,
             eval_labels=labels,
         )
-        dim = pool.features.shape[1]
-        lines = ["n,queried_id,label,prbp" + "".join(f",w_{j}" for j in range(dim)) + "\n"]
+        rows = []
         for k, entry in enumerate(state.history):
             w = state.weight_trace[k] if state.weight_trace else [float("nan")] * dim
-            prbp_txt = f"{entry.prbp:.17g}" if entry.prbp is not None else ""
-            lines.append(
-                f"{entry.n_labeled},{int(kept_ids[entry.queried])},{entry.label},{prbp_txt}"
-                + "".join(f",{v:.17g}" for v in w)
-                + "\n"
-            )
+            rows.append([entry.n_labeled, kept_ids[entry.queried], entry.label, entry.prbp, *w])
             if entry.prbp is not None:
                 per_run_prbp[entry.n_labeled].append(entry.prbp)
-        _atomic_write_text(learn_dir / f"history_run{run:02d}.csv", "".join(lines))
+        write_table(
+            learn_dir / f"history_run{run:02d}.csv",
+            ["n", "queried_id", "label", "prbp", *(f"w_{j}" for j in range(dim))],
+            rows,
+        )
         _write_model_csv(learn_dir / f"model_run{run:02d}.csv", state, kept_ids, kernel, cfg.cost)
 
-    summary = ["n,prbp_mean,prbp_min,prbp_max\n"]
-    for n in schedule:
-        vals = per_run_prbp[n]
-        if vals:
-            summary.append(f"{n},{np.mean(vals):.17g},{np.min(vals):.17g},{np.max(vals):.17g}\n")
-    _atomic_write_text(learn_dir / "summary.csv", "".join(summary))
-    baselines = [
-        "classifier,prbp\n",
-        f"pga,{simple_classifier_prbp(raw_kept[:, 8], labels):.17g}\n",
-        f"lin_disp,{simple_classifier_prbp(raw_kept[:, 12], labels):.17g}\n",
-    ]
-    _atomic_write_text(learn_dir / "baselines.csv", "".join(baselines))
+    write_table(
+        learn_dir / "summary.csv",
+        ["n", "prbp_mean", "prbp_min", "prbp_max"],
+        ([n, np.mean(v), np.min(v), np.max(v)] for n, v in per_run_prbp.items() if v),
+    )
+    write_table(
+        learn_dir / "baselines.csv",
+        ["classifier", "prbp"],
+        [
+            ["pga", simple_classifier_prbp(raw_kept[:, 8], labels)],
+            ["lin_disp", simple_classifier_prbp(raw_kept[:, 12], labels)],
+        ],
+    )
     return learn_dir
 
 
@@ -372,15 +345,27 @@ def _fragility_dir(cfg: RunConfig, out: Path) -> Path:
     return out / f"fragility_{cfg.preset}_{cfg.tag}"
 
 
-def _curves_for_probs(labels, probs, projections: dict, n_bins: int) -> dict:
-    return {
-        name: curve(labels, probs, values, n_bins, name) for name, values in projections.items()
-    }
+def _load_final_model(cfg: RunConfig, path: Path, features: np.ndarray) -> SvmModel:
+    """The final model learn stored, refused if written for another kernel or cost."""
+    indices, labels, coefficients, meta = read_model_csv(path)
+    kernel = cfg.make_kernel()
+    stored = (meta["kernel"], float(meta["gamma"] or 0), float(meta["cost"]))
+    if stored != (kernel.kind, kernel.gamma or 0.0, cfg.cost):
+        raise ValueError(f"{path}: (kernel, gamma, cost) {stored} differ from the config")
+    return SvmModel(
+        support_x=features[indices],
+        coefficients=coefficients,
+        bias=float(meta["bias"]),
+        kernel=kernel,
+        labeled_refs=indices,
+        labels=labels,
+    )
 
 
 def cmd_fragility(cfg: RunConfig) -> Path:
+    """Curves at each checkpoint of every run: prefixes are retrained, the final model loaded."""
     out = Path(cfg.out_dir)
-    pool, labels, kept_ids, raw_kept, _ = _build_pool(cfg, out)
+    pool, labels, *_ = _build_pool(cfg, out)
     kernel = cfg.make_kernel()
     learn_dir = _learn_dir(cfg, out)
     frag_dir = _fragility_dir(cfg, out)
@@ -388,49 +373,53 @@ def cmd_fragility(cfg: RunConfig) -> Path:
     schedule = tuple(n for n in FRAGILITY_SCHEDULE if n <= cfg.budget)
     linear_kernel = Kernel("linear")
 
+    def calibrated(model: SvmModel, sub_idx, sub_lab):
+        """Pool scores and their probabilities, calibrated on the labeled prefix."""
+        scores = model.score(pool.features)
+        return scores, fit_logistic(scores[sub_idx], sub_lab).probability(scores)
+
     report: list[str] = [
         f"pool.kept={len(pool)}",
-        f"pool.positive_rate={np.mean(labels == 1):.6g}",
+        f"pool.positive_rate={np.mean(labels == 1):.17g}",
     ]
-    curve_lines = ["run,n,projection,center,count,p_ref,p_est\n"]
+    curve_rows = []
+    finals = []  # (scores, probabilities) of each run's final model
     for run in range(cfg.n_runs):
-        model_path = learn_dir / f"model_run{run:02d}.csv"
-        indices, seq_labels = read_model_csv(model_path)
+        final = _load_final_model(cfg, learn_dir / f"model_run{run:02d}.csv", pool.features)
+        indices, seq_labels = final.labeled_refs, final.labels
+        finals.append(calibrated(final, indices, seq_labels))
         for n in schedule:
             sub_idx = indices[:n]
             sub_lab = seq_labels[:n]
             if len(set(sub_lab)) < 2:
                 continue
-            model = train_svm(pool.features[sub_idx], sub_lab, kernel, cfg.cost, refs=np.array(sub_idx))
-            scores = model.score(pool.features)
-            cal = fit_logistic(scores[sub_idx], sub_lab)
-            probs = cal.probability(scores)
+            if n >= len(indices):  # the whole labeled set: the model learn saved
+                scores, probs = finals[-1]
+            else:
+                model = train_svm(pool.features[sub_idx], sub_lab, kernel, cfg.cost, refs=sub_idx)
+                scores, probs = calibrated(model, sub_idx, sub_lab)
             projections = {"score": scores, "pga": pool.raw_pga, "lin_disp": pool.raw_lin_disp}
-            curves = _curves_for_probs(labels, probs, projections, cfg.n_bins)
+            curves = {
+                name: curve(labels, probs, values, cfg.n_bins, name)
+                for name, values in projections.items()
+            }
 
             if kernel.kind == "rbf":
                 lin_model = train_svm(pool.features[sub_idx], sub_lab, linear_kernel, cfg.cost)
-                lin_scores = lin_model.score(pool.features)
-                lin_cal = fit_logistic(lin_scores[sub_idx], sub_lab)
-                hybrid = hybrid_probability(lin_cal.probability(lin_scores), probs)
+                _, lin_probs = calibrated(lin_model, sub_idx, sub_lab)
+                hybrid = hybrid_probability(lin_probs, probs)
                 curves["hybrid"] = curve(labels, hybrid, scores, cfg.n_bins, "hybrid")
 
             for name, cv in curves.items():
-                report.append(f"run{run:02d}.n{n}.{name}.delta_l2={cv.delta_l2:.6g}")
-                report.append(f"run{run:02d}.n{n}.{name}.entropy={cv.entropy:.6g}")
-                report.append(
-                    f"run{run:02d}.n{n}.{name}.uncertain_fraction={cv.uncertain_fraction:.6g}"
-                )
-                for b in cv.bins:
-                    curve_lines.append(
-                        f"{run},{n},{name},{b.center:.17g},{b.count},{b.p_ref:.17g},{b.p_est:.17g}\n"
-                    )
+                for metric in ("delta_l2", "entropy", "uncertain_fraction"):
+                    report.append(f"run{run:02d}.n{n}.{name}.{metric}={getattr(cv, metric):.17g}")
+                curve_rows += ([run, n, name, b.center, b.count, b.p_ref, b.p_est]
+                               for b in cv.bins)
 
         # labeled-set-only anti-pattern, reported with a warning banner
-        final_idx, final_lab = indices[: cfg.budget], seq_labels[: cfg.budget]
-        diag = labeled_only_diagnostic(pool.raw_pga[final_idx], final_lab, cfg.n_bins)
+        diag = labeled_only_diagnostic(pool.raw_pga[indices], seq_labels, cfg.n_bins)
         mean_bin_p = float(np.mean([b.p_ref for b in diag.bins]))
-        report.append(f"run{run:02d}.labeled_only.mean_bin_probability={mean_bin_p:.6g}")
+        report.append(f"run{run:02d}.labeled_only.mean_bin_probability={mean_bin_p:.17g}")
         report.append(
             f"run{run:02d}.labeled_only.warning=labeled-set-only curve is biased by "
             "active sampling; do not use as a fragility estimate"
@@ -438,20 +427,15 @@ def cmd_fragility(cfg: RunConfig) -> Path:
 
     # binning sensitivity at the final budget, averaged over runs
     for k_bins in (10, 20, 40):
-        deltas = []
-        for run in range(cfg.n_runs):
-            indices, seq_labels = read_model_csv(learn_dir / f"model_run{run:02d}.csv")
-            model = train_svm(
-                pool.features[indices], seq_labels, kernel, cfg.cost, refs=np.array(indices)
-            )
-            scores = model.score(pool.features)
-            cal = fit_logistic(scores[indices], seq_labels)
-            cv = curve(labels, cal.probability(scores), scores, k_bins, "score")
-            deltas.append(cv.delta_l2)
-        report.append(f"sensitivity.k{k_bins}.score.delta_l2_mean={np.mean(deltas):.6g}")
+        deltas = [curve(labels, p, scores, k_bins, "score").delta_l2 for scores, p in finals]
+        report.append(f"sensitivity.k{k_bins}.score.delta_l2_mean={np.mean(deltas):.17g}")
 
-    _atomic_write_text(frag_dir / "curves.csv", "".join(curve_lines))
-    _atomic_write_text(frag_dir / "report.txt", "\n".join(report) + "\n")
+    write_table(
+        frag_dir / "curves.csv",
+        ["run", "n", "projection", "center", "count", "p_ref", "p_est"],
+        curve_rows,
+    )
+    atomic_write(frag_dir / "report.txt", "\n".join(report) + "\n")
     return frag_dir
 
 
@@ -489,13 +473,12 @@ def cmd_report(cfg: RunConfig) -> Path:
         ("learn.baselines", learn_dir / "baselines.csv"),
     ):
         if path.exists():
-            for row in path.read_text(encoding="utf-8").strip().splitlines()[1:]:
-                lines.append(f"{name}.{row}")
+            lines += [f"{name}." + ",".join(row) for row in read_table(path).rows]
     frag_report = frag_dir / "report.txt"
     if frag_report.exists():
         lines.extend(frag_report.read_text(encoding="utf-8").strip().splitlines())
     dest = out / "report.txt"
-    _atomic_write_text(dest, "\n".join(lines) + "\n")
+    atomic_write(dest, "\n".join(lines) + "\n")
     return dest
 
 

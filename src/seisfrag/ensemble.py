@@ -8,7 +8,6 @@ catalogs do; the remaining parameters are uniform over their ranges.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .ground_motion import PARAM_NAMES
 from .rng import stream
+from .table import read_table, write_table
 
 ENSEMBLE_SIZE = 97
 BUILD_SEED = 1867
@@ -62,23 +62,14 @@ def make_reference_ensemble(size: int = ENSEMBLE_SIZE, seed: int = BUILD_SEED) -
 
 
 def write_ensemble_csv(path, theta: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PARAM_NAMES)
-        for row in theta:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_table(path, PARAM_NAMES, theta)
 
 
 def read_ensemble_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != PARAM_NAMES:
-            raise ValueError(f"{path}: unexpected ensemble columns {header}")
-        for row in reader:
-            rows.append([float(v) for v in row])
-    return np.asarray(rows)
+    table = read_table(path)
+    if tuple(table.columns) != PARAM_NAMES:
+        raise ValueError(f"{path}: unexpected ensemble columns {table.columns}")
+    return table.floats()
 
 
 def reference_ensemble() -> np.ndarray:

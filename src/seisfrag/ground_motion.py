@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ._sdof import linear_sdof_displacement
+from .table import atomic_write
 
 DEFAULT_DT = 0.01  # s
 MIN_DURATION = 20.0  # s
@@ -143,22 +144,6 @@ def irf_h(lag, freq: float, zeta_f: float):
     out = np.zeros(lag_arr.shape)
     pos = lag_arr >= 0
     out[pos] = amp * np.exp(-zeta_f * freq * lag_arr[pos]) * np.sin(wd * lag_arr[pos])
-    return float(out[0]) if np.isscalar(lag) or np.ndim(lag) == 0 else out
-
-
-def irf_h_dot(lag, freq: float, zeta_f: float):
-    """Time derivative of irf_h with respect to the lag."""
-    lag_arr = np.atleast_1d(np.asarray(lag, dtype=float))
-    wd = freq * math.sqrt(1.0 - zeta_f**2)
-    amp = freq / math.sqrt(1.0 - zeta_f**2)
-    out = np.zeros(lag_arr.shape)
-    pos = lag_arr >= 0
-    lp = lag_arr[pos]
-    out[pos] = (
-        amp
-        * np.exp(-zeta_f * freq * lp)
-        * (wd * np.cos(wd * lp) - zeta_f * freq * np.sin(wd * lp))
-    )
     return float(out[0]) if np.isscalar(lag) or np.ndim(lag) == 0 else out
 
 
@@ -305,9 +290,7 @@ def read_signal_csv(path) -> Signal:
 
 
 def write_signal_binary(path, sig: Signal) -> None:
-    with open(path, "wb") as fh:
-        fh.write(np.array([sig.dt], dtype="<f8").tobytes())
-        fh.write(sig.samples.astype("<f8").tobytes())
+    atomic_write(path, np.concatenate([[sig.dt], sig.samples]).astype("<f8").tobytes())
 
 
 def read_signal_binary(path) -> Signal:

@@ -8,9 +8,8 @@ negative maxima over a candidate grid.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -26,6 +25,7 @@ from .ground_motion import (
     unit_variance_process,
 )
 from .rng import stream
+from .table import read_table, write_table
 
 ENERGY_ONSET_FRACTION = 1e-12
 
@@ -393,32 +393,16 @@ _CSV_COLUMNS = PARAM_NAMES + ("t0",)
 
 
 def write_params_csv(path, params_list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for p in params_list:
-            row = list(p.as_vector()) + [p.modulation.t0]
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_table(path, _CSV_COLUMNS, ([*p.as_vector(), p.modulation.t0] for p in params_list))
 
 
 def read_params_csv(path) -> list[GroundMotionParams]:
+    table = read_table(path)
+    if tuple(table.columns) != _CSV_COLUMNS:
+        raise ValueError(f"{path}: unexpected columns {table.columns}")
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != _CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {header}")
-        for row in reader:
-            values = [float(v) for v in row]
-            params = GroundMotionParams.from_vector(values[:8])
-            m = params.modulation
-            out.append(
-                GroundMotionParams(
-                    modulation=ModulationParams(
-                        alpha1=m.alpha1, alpha2=m.alpha2, alpha3=m.alpha3,
-                        t1=m.t1, t2=m.t2, t0=values[8],
-                    ),
-                    filter=params.filter,
-                )
-            )
+    for values in table.floats():
+        params = GroundMotionParams.from_vector(values[:8])
+        modulation = replace(params.modulation, t0=float(values[8]))
+        out.append(replace(params, modulation=modulation))
     return out

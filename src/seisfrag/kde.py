@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .ground_motion import GroundMotionParams, ParameterError
+from .table import read_table, write_table
 
 JITTER_FACTOR = 1e-8
 MAX_REJECTIONS = 1000
@@ -145,35 +146,23 @@ def sample_raw(model: KdeModel, rng: np.random.Generator, size: int = 1) -> np.n
 
 
 def save_model_csv(path, model: KdeModel) -> None:
-    """Persist the model as labeled CSV blocks: scale, centers, covariance."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"beta,{model.beta:.17g}\n")
-        fh.write(f"regularized,{int(model.regularized)}\n")
-        for row in model.points:
-            fh.write("point," + ",".join(f"{v:.17g}" for v in row) + "\n")
-        for row in model.covariance:
-            fh.write("covariance," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    """One table: the kernel centers, then the covariance rows; scale as meta."""
+    write_table(
+        path,
+        [f"x_{j}" for j in range(model.dim)],
+        [*model.points, *model.covariance],
+        meta={"beta": model.beta, "regularized": int(model.regularized), "points": model.count},
+    )
 
 
 def load_model_csv(path) -> KdeModel:
-    beta = None
-    regularized = False
-    points, cov_rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tag, _, rest = line.strip().partition(",")
-            if tag == "beta":
-                beta = float(rest)
-            elif tag == "regularized":
-                regularized = bool(int(rest))
-            elif tag == "point":
-                points.append([float(v) for v in rest.split(",")])
-            elif tag == "covariance":
-                cov_rows.append([float(v) for v in rest.split(",")])
-    if beta is None or not points or not cov_rows:
+    table = read_table(path)
+    values = table.floats()
+    n = int(table.meta["points"])
+    if values.shape != (n + len(table.columns), len(table.columns)):
         raise ValueError(f"{path}: incomplete KDE model file")
-    pts = np.asarray(points)
-    cov = np.asarray(cov_rows)
+    beta = float(table.meta["beta"])
+    pts, cov = values[:n], values[n:]
     bandwidth = beta**2 * cov
     return KdeModel(
         points=pts,
@@ -181,7 +170,7 @@ def load_model_csv(path) -> KdeModel:
         beta=beta,
         bandwidth=bandwidth,
         cholesky=np.linalg.cholesky(bandwidth),
-        regularized=regularized,
+        regularized=bool(int(table.meta["regularized"])),
     )
 
 

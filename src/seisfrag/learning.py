@@ -116,8 +116,12 @@ class SvmModel:
     kernel: Kernel
     labeled_refs: np.ndarray  # pool indices of the labeled points
     labels: np.ndarray  # training labels, +-1
-    weights: np.ndarray | None = None  # linear kernel only
     converged: bool = True
+    weights: np.ndarray | None = field(init=False, default=None)  # linear kernel only
+
+    def __post_init__(self):
+        if self.kernel.kind == "linear":
+            object.__setattr__(self, "weights", self.support_x.T @ self.coefficients)
 
     def score(self, x: np.ndarray) -> np.ndarray | float:
         single = np.ndim(x) == 1
@@ -149,24 +153,17 @@ def train_svm(
 
     k_matrix = kernel.matrix(x, x)
     alpha, bias, converged, _ = _smo(k_matrix, y, cost, tol)
-    coefficients = alpha * y
-    weights = x.T @ coefficients if kernel.kind == "linear" else None
     if refs is None:
         refs = np.arange(y.size)
     return SvmModel(
         support_x=x,
-        coefficients=coefficients,
+        coefficients=alpha * y,
         bias=bias,
         kernel=kernel,
         labeled_refs=np.asarray(refs),
         labels=y,
-        weights=weights,
         converged=converged,
     )
-
-
-def score(model: SvmModel, x) -> np.ndarray | float:
-    return model.score(x)
 
 
 def dual_objective(model: SvmModel, alpha: np.ndarray | None = None) -> float:
@@ -323,17 +320,13 @@ class _IncrementalSvm:
 
     def model(self) -> SvmModel:
         y = np.asarray(self.labels)
-        x = self.features[self.indices]
-        coefficients = self.alpha * y
-        weights = x.T @ coefficients if self.kernel.kind == "linear" else None
         return SvmModel(
-            support_x=x,
-            coefficients=coefficients,
+            support_x=self.features[self.indices],
+            coefficients=self.alpha * y,
             bias=self.bias,
             kernel=self.kernel,
             labeled_refs=np.asarray(self.indices),
             labels=y,
-            weights=weights,
         )
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import N_FEATURES, R4_INDICES
+from .table import read_table, write_table
 
 DELTA_BRACKET = (-3.0, 3.0)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -115,38 +116,23 @@ def fit(raw: np.ndarray, keep_range: tuple[float, float]) -> PreprocessModel:
 
 def save_model_csv(path, model: PreprocessModel) -> None:
     """One row per component: shift, Box-Cox exponent, mean, std."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# keep_range={model.keep_range[0]:.17g},{model.keep_range[1]:.17g}\n")
-        fh.write("component,shift,delta,mean,std\n")
-        for j in range(model.deltas.size):
-            fh.write(
-                f"{j},{model.shifts[j]:.17g},{model.deltas[j]:.17g},"
-                f"{model.means[j]:.17g},{model.stds[j]:.17g}\n"
-            )
+    write_table(
+        path,
+        ["component", "shift", "delta", "mean", "std"],
+        zip(range(model.deltas.size), model.shifts, model.deltas, model.means, model.stds),
+        meta={"keep_low": model.keep_range[0], "keep_high": model.keep_range[1]},
+    )
 
 
 def load_model_csv(path) -> PreprocessModel:
-    shifts, deltas, means, stds = [], [], [], []
-    keep_range = (0.0, 0.0)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# keep_range="):
-                lo, hi = line.strip().split("=")[1].split(",")
-                keep_range = (float(lo), float(hi))
-            elif line.startswith("#") or line.startswith("component,"):
-                continue
-            else:
-                _, shift, delta, mean, std = line.strip().split(",")
-                shifts.append(float(shift))
-                deltas.append(float(delta))
-                means.append(float(mean))
-                stds.append(float(std))
+    table = read_table(path)
+    _, shifts, deltas, means, stds = table.floats().T
     return PreprocessModel(
-        keep_range=keep_range,
-        shifts=np.asarray(shifts),
-        deltas=np.asarray(deltas),
-        means=np.asarray(means),
-        stds=np.asarray(stds),
+        keep_range=(float(table.meta["keep_low"]), float(table.meta["keep_high"])),
+        shifts=shifts,
+        deltas=deltas,
+        means=means,
+        stds=stds,
     )
 
 

@@ -392,7 +392,8 @@ def test_criterion_09_active_learning_trend(workspace):
         9, "active-learning trend",
         ok,
         f"mean PRBP@200 {np.mean(at_200):.3f} > PGA {pga_baseline:.3f}, "
-        f"@100 above in {above_at_100}/5, runtime {runtime:.0f} s (<1800)",
+        f"@100 above in {above_at_100}/5, runtime {runtime:.0f} s (<1800); stage times "
+        + ", ".join(f"{stage} {seconds:.0f} s" for stage, seconds in timings.items()),
     )
 
 
@@ -581,7 +582,7 @@ def test_desk_score_monotone_with_nonlinear_peak(workspace):
 
     pool, labels, kept_ids, raw_kept, _ = _build_pool(cfg5, out)
     _, z_values, _ = read_labels_csv(out / "labels_5.csv")
-    indices, seq_labels = read_model_csv(out / "learn_5_linear_r4" / "model_run00.csv")
+    indices, seq_labels, *_ = read_model_csv(out / "learn_5_linear_r4" / "model_run00.csv")
     model = train_svm(pool.features[indices], seq_labels, Kernel("linear"), cfg5.cost)
     rho = spearmanr(model.score(pool.features), z_values).statistic
     assert rho > 0.8

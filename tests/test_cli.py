@@ -1,6 +1,7 @@
 """Tests for the pipeline commands and their artifacts."""
 
 import filecmp
+import shutil
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 from seisfrag.cli import (
     RunConfig,
+    _build_pool,
+    _load_final_model,
     cmd_fragility,
     cmd_generate,
     cmd_identify,
@@ -29,6 +32,7 @@ from seisfrag.ground_motion import (
     synthesize,
     write_signal_csv,
 )
+from seisfrag.learning import train_svm
 
 SMOKE = dict(seed=3, pool_size=220, budget=25, n_runs=2, batch_size=100, n_bins=6)
 
@@ -119,6 +123,21 @@ class TestGenerate:
         b = cmd_generate(cfg_b).read_text()
         assert a == b
 
+    def test_other_pool_keys_refused(self, tmp_path):
+        out = tmp_path / "stale"
+        pool = dict(pool_size=20, seed=1, batch_size=100)
+        first = cmd_generate(smoke_config(out, **pool)).read_text()
+        for key, value in (("seed", 2), ("pool_size", 24), ("batch_size", 7)):
+            with pytest.raises(ValueError, match=key):
+                cmd_generate(smoke_config(out, **{**pool, key: value}))
+        assert (out / "features_5.csv").read_text() == first
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert load_config(str(out / "config.txt"), {}).seed == 1
+        # another preset over the same pool keeps working
+        ids, _ = read_features_csv(cmd_generate(smoke_config(out, **pool, preset="10")))
+        assert ids.tolist() == list(range(20))
+
 
 class TestLabels:
     def test_labels_artifact(self, pipeline_dir):
@@ -145,7 +164,7 @@ class TestLearn:
         learn_dir = out / "learn_5_linear_r4"
         histories = sorted(learn_dir.glob("history_run*.csv"))
         assert len(histories) == cfg.n_runs
-        indices, labels = read_model_csv(learn_dir / "model_run00.csv")
+        indices, labels, *_ = read_model_csv(learn_dir / "model_run00.csv")
         assert len(indices) == cfg.budget
         assert len(set(indices)) == cfg.budget
         assert set(labels) == {-1, 1}
@@ -203,6 +222,38 @@ class TestFragility:
             cmd_fragility(rbf_cfg)
         report = (out / "fragility_5_rbf_r4" / "report.txt").read_text()
         assert ".hybrid.delta_l2=" in report
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_loaded_final_model_scores_like_a_retrain(self, pipeline_dir, kernel):
+        cfg, out = pipeline_dir
+        cfg = smoke_config(out, kernel=kernel)
+        learn_dir = out / f"learn_5_{kernel}_r4"
+        if not learn_dir.exists():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                cmd_learn(cfg)
+        pool, *_ = _build_pool(cfg, out)
+        for run in range(cfg.n_runs):
+            path = learn_dir / f"model_run{run:02d}.csv"
+            loaded = _load_final_model(cfg, path, pool.features)
+            indices, labels, *_ = read_model_csv(path)
+            retrained = train_svm(pool.features[indices], labels, cfg.make_kernel(), cfg.cost)
+            assert np.array_equal(loaded.score(pool.features), retrained.score(pool.features))
+
+    @pytest.mark.parametrize("old, new", [
+        ("# cost=10\n", "# cost=5\n"),
+        ("# kernel=linear\n# gamma=\n", "# kernel=rbf\n# gamma=0.25\n"),
+    ])
+    def test_refuses_model_of_another_config(self, pipeline_dir, tmp_path, old, new):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        model_path = copy / "learn_5_linear_r4" / "model_run01.csv"
+        text = model_path.read_text()
+        assert old in text
+        model_path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError, match="model_run01"):
+            cmd_fragility(smoke_config(copy))
 
     def test_curves_csv_counts(self, pipeline_dir):
         cfg, out = pipeline_dir

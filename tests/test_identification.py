@@ -311,3 +311,12 @@ class TestParamsCsv:
         write_params_csv(path, params)
         back = read_params_csv(path)
         assert back == params
+        lines = path.read_bytes().split(b"\n")
+        assert lines[0] == b"alpha1,alpha2,alpha3,t1,t2,omega0,omega_n,zeta_f,t0"
+        assert len(lines) == 4 and lines[-1] == b"" and b"\r" not in path.read_bytes()
+
+    def test_unexpected_columns_rejected(self, tmp_path):
+        path = tmp_path / "params.csv"
+        path.write_text("alpha1,alpha2\n1,2\n")
+        with pytest.raises(ValueError):
+            read_params_csv(path)

@@ -158,9 +158,19 @@ class TestSampling:
         back = load_model_csv(path)
         assert np.array_equal(back.points, model.points)
         assert np.array_equal(back.covariance, model.covariance)
+        assert np.array_equal(back.cholesky, model.cholesky)
         assert back.beta == model.beta
+        assert back.regularized is model.regularized is False
         theta = model.points[0]
         assert kde_pdf(back, theta) == pytest.approx(kde_pdf(model, theta), rel=1e-12)
+        # a jittered (regularized) covariance survives the round trip too
+        degenerate = np.column_stack([model.points[:, :7], model.points[:, 0]])
+        jittered = kristan_bandwidth(degenerate)
+        save_model_csv(path, jittered)
+        again = load_model_csv(path)
+        assert again.regularized is jittered.regularized is True
+        assert np.array_equal(again.covariance, jittered.covariance)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_badly_scaled_model_raises(self):
         pts = np.array([[-5.0, 0.5], [-6.0, 0.4], [-5.5, 0.6]])  # alpha1 always negative

@@ -12,7 +12,6 @@ from seisfrag.learning import (
     dual_objective,
     prbp,
     roc_curve,
-    score,
     select_start_points,
     simple_classifier_prbp,
     train_svm,
@@ -92,11 +91,6 @@ class TestSvmCore:
             Kernel("poly")
         with pytest.raises(ValueError):
             Kernel("rbf")
-
-    def test_score_function_alias(self):
-        x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        model = train_svm(x, [1, -1], Kernel("linear"), cost=10.0)
-        assert score(model, x) == pytest.approx(model.score(x))
 
 
 class TestPrbp:

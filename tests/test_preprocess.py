@@ -126,6 +126,8 @@ class TestFitApply:
         assert back.keep_range == mini_pool.model.keep_range
         assert np.array_equal(back.deltas, mini_pool.model.deltas)
         assert np.array_equal(back.shifts, mini_pool.model.shifts)
+        assert np.array_equal(back.means, mini_pool.model.means)
+        assert np.array_equal(back.stds, mini_pool.model.stds)
         original = prep.apply(mini_pool.model, mini_pool.raw_kept)
         reloaded = prep.apply(back, mini_pool.raw_kept)
         assert np.array_equal(original, reloaded)
