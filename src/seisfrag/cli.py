@@ -8,6 +8,7 @@ idempotent given their completed checkpoints.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -36,6 +37,8 @@ from .table import atomic_write, read_table, write_table
 LEARN_SCHEDULE = (10, 20, 50, 100, 200, 500, 1000)
 FRAGILITY_SCHEDULE = (20, 50, 100, 200, 500, 1000)
 PRODUCTION_MIN_POOL = 500
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -229,14 +232,27 @@ def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _build_pool(cfg: RunConfig, out: Path):
+def _preprocess_path(cfg: RunConfig, out: Path) -> Path:
+    return out / f"preprocess_{cfg.preset}.csv"
+
+
+def _build_pool(cfg: RunConfig, out: Path, load_transform: bool = False):
+    """The kept pool in the config's feature view; load_transform reads the
+    transform learn stored instead of fitting it again."""
     ids, raw = read_features_csv(_features_path(cfg, out))
     kept_ids, _, labels = read_labels_csv(_labels_path(cfg, out))
     id_to_row = {int(v): k for k, v in enumerate(ids)}
     kept_rows = np.array([id_to_row[int(v)] for v in kept_ids])
     raw_kept = raw[kept_rows]
     structure = cfg.structure
-    model = prep.fit(raw_kept, (structure.yield_y, 6 * structure.yield_y))
+    keep_range = (structure.yield_y, 6 * structure.yield_y)
+    if load_transform:
+        path = _preprocess_path(cfg, out)
+        model = prep.load_model_csv(path)
+        if model.keep_range != keep_range:
+            raise ValueError(f"{path}: keep range {model.keep_range} differs from {keep_range}")
+    else:
+        model = prep.fit(raw_kept, keep_range)
     transformed = prep.apply(model, raw_kept, view=cfg.feature_set)
     pool = Pool(
         features=transformed,
@@ -282,7 +298,7 @@ def cmd_learn(cfg: RunConfig) -> Path:
     learn_dir.mkdir(parents=True, exist_ok=True)
     schedule = tuple(n for n in LEARN_SCHEDULE if n <= cfg.budget)
 
-    prep.save_model_csv(out / f"preprocess_{cfg.preset}.csv", prep_model)
+    prep.save_model_csv(_preprocess_path(cfg, out), prep_model)
     dim = pool_template.features.shape[1]
     write_table(
         out / f"transformed_{cfg.preset}_{cfg.feature_set}.csv",
@@ -365,7 +381,7 @@ def _load_final_model(cfg: RunConfig, path: Path, features: np.ndarray) -> SvmMo
 def cmd_fragility(cfg: RunConfig) -> Path:
     """Curves at each checkpoint of every run: prefixes are retrained, the final model loaded."""
     out = Path(cfg.out_dir)
-    pool, labels, *_ = _build_pool(cfg, out)
+    pool, labels, *_ = _build_pool(cfg, out, load_transform=True)
     kernel = cfg.make_kernel()
     learn_dir = _learn_dir(cfg, out)
     frag_dir = _fragility_dir(cfg, out)
@@ -452,6 +468,8 @@ def cmd_identify(cfg: RunConfig, record_paths: list[str]) -> Path:
         sig = read_signal_csv(path) if str(path).endswith(".csv") else read_signal_binary(path)
         record = TargetRecord.from_signal(sig)
         fit = identify(record, IdentificationConfig(seed=cfg.seed))
+        if not fit.converged:
+            log.warning("%s: identification did not converge", path)
         results.append(fit.params)
     dest = out / "identified_params.csv"
     write_params_csv(dest, results)

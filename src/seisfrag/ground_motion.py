@@ -168,15 +168,22 @@ def sigma_f(t: float, filt: FilterParams, dt: float, ramp_duration: float | None
     return float(math.sqrt(np.sum(h**2) * dt))
 
 
+def _white_noise(rng: np.random.Generator, n: int, dt: float) -> np.ndarray:
+    """White-noise node values w_j of variance 1/dt, one draw per node."""
+    return rng.standard_normal(n) / math.sqrt(dt)
+
+
 def _normalized_response(
     filt: FilterParams, n: int, dt: float, noise: np.ndarray, truncate_irf: bool = True
 ) -> np.ndarray:
     """Unit-variance filtered process on an n-point grid for given noise values.
 
-    noise holds the white-noise node values w_j (variance 1/dt); the response
-    at node k is sum_{j<k} h(t_k - t_j, omega(t_j)) * w_j * dt, normalized by
-    the matching left-Riemann sigma. Evaluated by summing shifted diagonals so
-    each lag costs one vectorized pass.
+    noise holds the white-noise node values w_j (variance 1/dt) in its last
+    axis, one realization per row of an (m, n) block; the response at node k
+    is sum_{j<k} h(t_k - t_j, omega(t_j)) * w_j * dt, normalized by the
+    matching left-Riemann sigma. Evaluated by summing shifted diagonals, so
+    each lag costs one vectorized pass, and h and sigma, which do not depend
+    on the noise, once per lag for all rows.
     """
     zf = filt.zeta_f
     duration = (n - 1) * dt
@@ -189,18 +196,33 @@ def _normalized_response(
         lag_cut = IRF_CUTOFF / (zf * float(np.min(omegas)))
         max_lag_steps = min(max_lag_steps, int(math.ceil(lag_cut / dt)))
 
-    x = np.zeros(n)
+    x = np.zeros(noise.shape)
     s2 = np.zeros(n)
     w_dt = noise * dt
     for ell in range(1, max_lag_steps + 1):
         lag = ell * dt
         h = amp[: n - ell] * np.exp(-zf * omegas[: n - ell] * lag) * np.sin(wd[: n - ell] * lag)
-        x[ell:] += h * w_dt[: n - ell]
+        x[..., ell:] += h * w_dt[..., : n - ell]
         s2[ell:] += h**2 * dt
 
-    y = np.zeros(n)
+    y = np.zeros(noise.shape)
     np.divide(x, np.sqrt(s2, out=np.zeros(n), where=s2 > 0), out=y, where=s2 > 0)
     return y
+
+
+def unit_variance_processes(
+    filt: FilterParams,
+    duration: float,
+    dt: float,
+    rngs: list[np.random.Generator],
+    truncate_irf: bool = True,
+) -> np.ndarray:
+    """One realization of the normalized (un-modulated) filtered process per
+    stream, as the rows of an (m, n) array."""
+    filt.validate()
+    n = int(round(duration / dt)) + 1
+    noise = np.array([_white_noise(rng, n, dt) for rng in rngs])
+    return _normalized_response(filt, n, dt, noise, truncate_irf)
 
 
 def unit_variance_process(
@@ -211,10 +233,8 @@ def unit_variance_process(
     truncate_irf: bool = True,
 ) -> Signal:
     """One realization of the normalized (un-modulated) filtered process."""
-    filt.validate()
-    n = int(round(duration / dt)) + 1
-    noise = rng.standard_normal(n) / math.sqrt(dt)
-    return Signal(dt=dt, samples=_normalized_response(filt, n, dt, noise, truncate_irf))
+    samples = unit_variance_processes(filt, duration, dt, [rng], truncate_irf)[0]
+    return Signal(dt=dt, samples=samples)
 
 
 def synthesize(
@@ -242,8 +262,7 @@ def synthesize(
     if duration < m.t2:
         raise ParameterError(f"duration {duration} shorter than plateau end {m.t2}")
     n = int(round(duration / dt)) + 1
-    noise = rng.standard_normal(n) / math.sqrt(dt)
-    y = _normalized_response(params.filter, n, dt, noise, truncate_irf)
+    y = _normalized_response(params.filter, n, dt, _white_noise(rng, n, dt), truncate_irf)
     q = modulating_q(np.arange(n) * dt, m)
     return Signal(dt=dt, samples=q * y)
 

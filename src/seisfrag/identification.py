@@ -22,7 +22,7 @@ from .ground_motion import (
     ModulationParams,
     Signal,
     modulating_q,
-    unit_variance_process,
+    unit_variance_processes,
 )
 from .rng import stream
 from .table import read_table, write_table
@@ -225,8 +225,26 @@ def _rate_at_times(
     time derivative of the normalized process; all integrals discretized on
     the pulse grid. The requested spacing is tightened so the fastest
     oscillation of the impulse response keeps at least 16 nodes per period.
+
+    The pulse applied at tau = t - lag has frequency omega(tau), and one
+    phasor p = exp(c omega(tau) lag), c = -zeta + i sqrt(1 - zeta^2), carries
+    its decay and phase: h = omega / root * Im p and
+    h_dot = omega^2 / root * Im(c p). On evenly spaced nodes omega(tau) moves
+    by slope * gap from one node to the next at every lag, so each row of
+    phasors is its neighbour times exp(c |slope| gap lag). The recurrence runs
+    in the direction in which the phasors shrink, forward in time on a rising
+    ramp and backward on a falling one, and starts each pulse from its exact
+    phasor at the first node of that order where it exists; cells whose pulse
+    does not exist stay exact zeros.
     """
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("rate nodes must be a non-empty 1-D grid")
+    k = ts.size
+    gap = (ts[-1] - ts[0]) / max(k - 1, 1)
+    drift = np.abs(ts - (ts[0] + np.arange(k) * gap))
+    if gap < 0 or np.any(drift > 4.0 * np.finfo(float).eps * abs(ts[-1])):
+        raise ValueError("rate nodes must be evenly spaced and non-decreasing")
     zf = filt.zeta_f
     omega_max = max(filt.omega0, filt.omega_n)
     omega_min = min(filt.omega0, filt.omega_n)
@@ -234,27 +252,36 @@ def _rate_at_times(
     # at least 32 nodes per period of the fastest component
     quad_dt = min(quad_dt, 2.0 * math.pi / (32.0 * omega_max))
     # pulses older than the e^-8 envelope cutoff contribute nothing
-    memory = min(8.0 / (zf * omega_min), float(np.max(ts)))
+    memory = min(8.0 / (zf * omega_min), float(ts[-1]))
     lags = (np.arange(int(math.ceil(memory / quad_dt))) + 0.5) * quad_dt
 
-    taus = ts[:, None] - lags[None, :]
-    active = taus >= 0
-    taus = np.where(active, taus, 0.0)
-    omegas = filt.omega_at(taus, ramp_duration)
     root = math.sqrt(1.0 - zf**2)
-    wd = omegas * root
-    amp = omegas / root
+    c = complex(-zf, root)
+    slope = (filt.omega_n - filt.omega0) / max(ramp_duration, 1e-12)
+    step = np.exp(c * abs(slope) * gap * lags)
+    alive = np.searchsorted(lags, ts, side="right").tolist()  # pulses existing at each node
+    if slope >= 0:
+        order, start = range(k), ts[np.minimum(np.searchsorted(ts, lags), k - 1)]
+    else:
+        order, start = range(k - 1, -1, -1), ts[-1]
+    anchors = np.exp(c * filt.omega_at(np.maximum(start - lags, 0.0), ramp_duration) * lags)
+    phasors = np.zeros((k, lags.size), dtype=complex)
+    row, live = phasors[0, :0], 0  # the previous node's phasors and how many exist
+    for r in order:
+        n = alive[r]
+        m = min(n, live)
+        np.multiply(row[:m], step[:m], out=phasors[r, :m])
+        phasors[r, live:n] = anchors[live:n]
+        row, live = phasors[r], n
 
-    decay = np.exp(-zf * omegas * lags[None, :])
-    phase = wd * lags[None, :]
-    sin_p = np.sin(phase)
-    h = np.where(active, amp * decay * sin_p, 0.0)
-    h_dot = np.where(active, amp * decay * (wd * np.cos(phase) - zf * omegas * sin_p), 0.0)
-
-    sig2 = np.sum(h**2, axis=1) * quad_dt
-    cross = np.sum(h * h_dot, axis=1) * quad_dt
-    inner = h_dot - h * (cross / sig2)[:, None]
-    sdot2 = np.sum(np.where(active, inner, 0.0) ** 2, axis=1) * quad_dt / sig2
+    omegas = np.subtract.outer(filt.omega_at(ts, ramp_duration), slope * lags)
+    h = omegas * phasors.imag  # root * h
+    phasors *= c  # Im(c p) = root Re p - zeta Im p
+    h_dot = np.square(omegas, out=omegas)
+    h_dot *= phasors.imag  # root * h_dot
+    sig2 = np.einsum("ij,ij->i", h, h)
+    cross = np.einsum("ij,ij->i", h, h_dot)
+    sdot2 = (np.einsum("ij,ij->i", h_dot, h_dot) - cross**2 / sig2) / sig2
     return np.sqrt(sdot2) / (2.0 * math.pi)
 
 
@@ -351,12 +378,13 @@ def fit_damping(record: TargetRecord, config: IdentificationConfig | None = None
     for gi, zeta in enumerate(grid):
         freq_fit = fit_filter_frequencies(record, zeta, config)
         filt = FilterParams(omega0=freq_fit.omega0, omega_n=freq_fit.omega_n, zeta_f=zeta)
+        sims = unit_variance_processes(
+            filt, duration, dt,
+            [stream(config.seed, "damping", gi, rep) for rep in range(config.sim_replicates)],
+        )
         acc = np.zeros(t.size)
-        for rep in range(config.sim_replicates):
-            sim = unit_variance_process(
-                filt, duration, dt, stream(config.seed, "damping", gi, rep)
-            )
-            acc += count_irregular_extrema(sim.samples)
+        for sim in sims:
+            acc += count_irregular_extrema(sim)
         mean_counts = acc / config.sim_replicates
         mismatch = float(np.trapezoid((mean_counts - record.extrema_count) ** 2, t))
         mismatches.append(mismatch)

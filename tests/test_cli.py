@@ -1,6 +1,7 @@
 """Tests for the pipeline commands and their artifacts."""
 
 import filecmp
+import logging
 import shutil
 import warnings
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seisfrag import cli
+from seisfrag import preprocess as prep
 from seisfrag.cli import (
     RunConfig,
     _build_pool,
@@ -32,6 +35,7 @@ from seisfrag.ground_motion import (
     synthesize,
     write_signal_csv,
 )
+from seisfrag.identification import IdentificationResult
 from seisfrag.learning import train_svm
 
 SMOKE = dict(seed=3, pool_size=220, budget=25, n_runs=2, batch_size=100, n_bins=6)
@@ -255,6 +259,42 @@ class TestFragility:
         with pytest.raises(ValueError, match="model_run01"):
             cmd_fragility(smoke_config(copy))
 
+    def test_stored_transform_equals_a_refit(self, pipeline_dir):
+        cfg, out = pipeline_dir
+        refit, *_, fitted = _build_pool(cfg, out)
+        loaded, *_, stored = _build_pool(cfg, out, load_transform=True)
+        for name in ("shifts", "deltas", "means", "stds"):
+            assert np.array_equal(getattr(stored, name), getattr(fitted, name))
+        assert stored.keep_range == fitted.keep_range
+        assert np.array_equal(loaded.features, refit.features)
+
+    def test_fragility_does_not_refit_the_transform(self, pipeline_dir, tmp_path, monkeypatch):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+
+        def refit(*args, **kwargs):
+            raise AssertionError("fragility refitted the transform")
+
+        monkeypatch.setattr(prep, "fit", refit)
+        frag_dir = cmd_fragility(smoke_config(copy))
+        for name in ("curves.csv", "report.txt"):
+            assert filecmp.cmp(frag_dir / name, out / "fragility_5_linear_r4" / name,
+                               shallow=False)
+
+    def test_refuses_transform_of_another_keep_range(self, pipeline_dir, tmp_path):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = copy / "preprocess_5.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        edited = [("# keep_high=1\n" if line.startswith("# keep_high=") else line)
+                  for line in lines]
+        assert edited != lines
+        path.write_text("".join(edited))
+        with pytest.raises(ValueError, match="preprocess_5"):
+            cmd_fragility(smoke_config(copy))
+
     def test_curves_csv_counts(self, pipeline_dir):
         cfg, out = pipeline_dir
         lines = (out / "fragility_5_linear_r4" / "curves.csv").read_text().splitlines()[1:]
@@ -302,6 +342,24 @@ class TestIdentifyCommand:
         text = dest.read_text().splitlines()
         assert text[0].startswith("alpha1,")
         assert len(text) == 2
+
+    def test_unconverged_record_is_logged(self, tmp_path, monkeypatch, caplog):
+        params = GroundMotionParams(
+            ModulationParams(alpha1=1.5, alpha2=0.6, alpha3=1.2, t1=2.0, t2=7.0),
+            FilterParams(omega0=2 * np.pi * 8, omega_n=2 * np.pi * 4, zeta_f=0.3),
+        )
+        paths = [str(tmp_path / name) for name in ("good.csv", "bad.csv")]
+        for path in paths:
+            write_signal_csv(path, synthesize(params, rng=np.random.default_rng(1)))
+        verdicts = iter([True, False])
+        monkeypatch.setattr(cli, "identify", lambda record, config: IdentificationResult(
+            params=params, converged=next(verdicts)))
+        with caplog.at_level(logging.WARNING, logger="seisfrag.cli"):
+            dest = cmd_identify(smoke_config(tmp_path / "ident"), paths)
+        assert len(dest.read_text().splitlines()) == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{paths[1]}: identification did not converge"
+        ]
 
 
 class TestMainEntry:

@@ -18,9 +18,14 @@ from seisfrag.ground_motion import (
     read_signal_csv,
     sigma_f,
     synthesize,
+    unit_variance_process,
+    unit_variance_processes,
     write_signal_binary,
     write_signal_csv,
 )
+
+# an overflow or an invalid value inside the signal model is a bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def default_params(alpha1=1.5, zeta=0.3, f0=6.0, fn=4.0):
@@ -99,7 +104,73 @@ class TestSigmaF:
         assert abs(coarse - fine) / fine < 0.01
 
 
+def reference_response(filt, n, dt, noise, truncate_irf=True):
+    """The per-lag loop of the normalized response for one noise vector."""
+    zf = filt.zeta_f
+    omegas = filt.omega_at(np.arange(n) * dt, (n - 1) * dt)
+    wd = omegas * math.sqrt(1.0 - zf**2)
+    amp = omegas / math.sqrt(1.0 - zf**2)
+    max_lag_steps = n - 1
+    if truncate_irf:
+        max_lag_steps = min(max_lag_steps, int(math.ceil(8.0 / (zf * np.min(omegas)) / dt)))
+    x = np.zeros(n)
+    s2 = np.zeros(n)
+    w_dt = noise * dt
+    for ell in range(1, max_lag_steps + 1):
+        lag = ell * dt
+        h = amp[: n - ell] * np.exp(-zf * omegas[: n - ell] * lag) * np.sin(wd[: n - ell] * lag)
+        x[ell:] += h * w_dt[: n - ell]
+        s2[ell:] += h**2 * dt
+    y = np.zeros(n)
+    np.divide(x, np.sqrt(s2, out=np.zeros(n), where=s2 > 0), out=y, where=s2 > 0)
+    return y
+
+
+def reference_noise(seed, n, dt):
+    return np.random.default_rng(seed).standard_normal(n) / math.sqrt(dt)
+
+
+class TestUnitVarianceProcess:
+    FILT = FilterParams(omega0=2 * np.pi * 7, omega_n=2 * np.pi * 3, zeta_f=0.25)
+    DURATION, DT = 6.0, 0.01
+    N = 601
+
+    def test_single_realization_matches_per_lag_loop(self):
+        sim = unit_variance_process(self.FILT, self.DURATION, self.DT, np.random.default_rng(4))
+        want = reference_response(self.FILT, self.N, self.DT, reference_noise(4, self.N, self.DT))
+        assert np.array_equal(sim.samples, want)
+
+    @pytest.mark.parametrize("truncate_irf", [True, False])
+    def test_replicate_rows_equal_single_realizations(self, truncate_irf):
+        seeds = (3, 8, 21, 40)
+        block = unit_variance_processes(
+            self.FILT, self.DURATION, self.DT,
+            [np.random.default_rng(s) for s in seeds], truncate_irf,
+        )
+        assert block.shape == (len(seeds), self.N)
+        for row, seed in zip(block, seeds):
+            single = unit_variance_process(
+                self.FILT, self.DURATION, self.DT, np.random.default_rng(seed), truncate_irf
+            )
+            assert np.array_equal(row, single.samples)
+            noise = reference_noise(seed, self.N, self.DT)
+            assert np.array_equal(row, reference_response(self.FILT, self.N, self.DT, noise,
+                                                          truncate_irf))
+
+    def test_invalid_filter_rejected(self):
+        bad = FilterParams(omega0=10.0, omega_n=10.0, zeta_f=1.5)
+        with pytest.raises(ParameterError):
+            unit_variance_processes(bad, 1.0, 0.01, [np.random.default_rng(0)])
+
+
 class TestSynthesize:
+    def test_matches_per_lag_loop(self):
+        p = default_params(zeta=0.2, f0=9.0, fn=3.0)
+        sig = synthesize(p, rng=np.random.default_rng(17))
+        n = sig.samples.size
+        y = reference_response(p.filter, n, sig.dt, reference_noise(17, n, sig.dt))
+        assert np.array_equal(sig.samples, modulating_q(sig.times, p.modulation) * y)
+
     def test_zero_amplitude_gives_zero_signal(self):
         p = default_params(alpha1=0.0)
         sig = synthesize(p, rng=np.random.default_rng(0))

@@ -18,6 +18,7 @@ from seisfrag.ground_motion import (
 from seisfrag.identification import (
     IdentificationConfig,
     TargetRecord,
+    _rate_at_times,
     count_irregular_extrema,
     count_upcrossings,
     expected_upcrossing_count,
@@ -30,6 +31,10 @@ from seisfrag.identification import (
     write_params_csv,
 )
 from seisfrag.oscillator import StructureConfig, response_spectrum
+from seisfrag.rng import stream
+
+# the phasor recurrence must neither overflow nor produce invalid values
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TRUE_MOD = ModulationParams(alpha1=1.8, alpha2=0.6, alpha3=1.3, t1=2.5, t2=8.0)
 TRUE_FILTER = FilterParams(omega0=2 * np.pi * 9, omega_n=2 * np.pi * 4.5, zeta_f=0.3)
@@ -176,6 +181,101 @@ class TestUpcrossingRate:
             mean_upcrossing_rate(0.001, TRUE_FILTER, 0.01)
 
 
+def direct_rate(ts, filt, quad_dt, ramp_duration):
+    """Up-crossing rate with exp, sin and cos evaluated on every (node, lag) cell."""
+    ts = np.asarray(ts, dtype=float)
+    zf = filt.zeta_f
+    omega_max = max(filt.omega0, filt.omega_n)
+    omega_min = min(filt.omega0, filt.omega_n)
+    quad_dt = min(quad_dt, 2.0 * math.pi / (32.0 * omega_max))
+    memory = min(8.0 / (zf * omega_min), float(np.max(ts)))
+    lags = (np.arange(int(math.ceil(memory / quad_dt))) + 0.5) * quad_dt
+
+    taus = ts[:, None] - lags[None, :]
+    active = taus >= 0
+    taus = np.where(active, taus, 0.0)
+    omegas = filt.omega_at(taus, ramp_duration)
+    root = math.sqrt(1.0 - zf**2)
+    wd = omegas * root
+    amp = omegas / root
+
+    decay = np.exp(-zf * omegas * lags[None, :])
+    phase = wd * lags[None, :]
+    sin_p = np.sin(phase)
+    h = np.where(active, amp * decay * sin_p, 0.0)
+    h_dot = np.where(active, amp * decay * (wd * np.cos(phase) - zf * omegas * sin_p), 0.0)
+
+    sig2 = np.sum(h**2, axis=1) * quad_dt
+    cross = np.sum(h * h_dot, axis=1) * quad_dt
+    inner = h_dot - h * (cross / sig2)[:, None]
+    sdot2 = np.sum(np.where(active, inner, 0.0) ** 2, axis=1) * quad_dt / sig2
+    return np.sqrt(sdot2) / (2.0 * math.pi)
+
+
+def assert_rates_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+# (omega0, omega_n, duration): ramps of both signs, two at the objective's band edges
+RAMPS = [
+    (2 * np.pi * 9, 2 * np.pi * 4.5, 25.0),
+    (2 * np.pi * 3, 2 * np.pi * 12, 25.0),
+    (0.2, 500.0, 3.0),
+    (500.0, 0.2, 3.0),
+]
+
+
+class TestRateKernel:
+    @pytest.mark.parametrize("zeta", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    @pytest.mark.parametrize("omega0, omega_n, duration", RAMPS)
+    def test_matches_direct_formula(self, zeta, omega0, omega_n, duration):
+        filt = FilterParams(omega0=omega0, omega_n=omega_n, zeta_f=zeta)
+        ts = np.linspace(duration / 48, duration, 48)
+        got = _rate_at_times(ts, filt, 0.05, duration)
+        assert_rates_close(got, direct_rate(ts, filt, 0.05, duration))
+
+    @pytest.mark.parametrize("omega0, omega_n", [(6.0, 3.0), (3.0, 6.0), (4.0, 4.0)])
+    def test_nodes_shorter_than_the_memory(self, omega0, omega_n):
+        # memory 8 / (zeta omega_min) = 27 s: every node sees only part of it
+        filt = FilterParams(omega0=omega0, omega_n=omega_n, zeta_f=0.1)
+        ts = np.linspace(0.02, 1.5, 30)
+        assert_rates_close(_rate_at_times(ts, filt, 0.01, 20.0),
+                           direct_rate(ts, filt, 0.01, 20.0))
+
+    @pytest.mark.parametrize("t", [0.02, 0.3, 4.0, 30.0])
+    @pytest.mark.parametrize("omega0, omega_n", [(40.0, 12.0), (12.0, 40.0)])
+    def test_single_node(self, t, omega0, omega_n):
+        filt = FilterParams(omega0=omega0, omega_n=omega_n, zeta_f=0.15)
+        for ramp in (None, 30.0):
+            got = mean_upcrossing_rate(t, filt, 0.01, ramp_duration=ramp)
+            want = direct_rate([t], filt, 0.01, t if ramp is None else ramp)[0]
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_expected_count_uses_the_kernel(self):
+        ts = np.linspace(DURATION / 48, DURATION, 48)
+        config = IdentificationConfig()
+        nu = direct_rate(ts, TRUE_FILTER, config.quad_dt, DURATION)
+        want = config.adjustment_factor * (
+            cumulative_trapezoid(nu, ts, initial=0.0) + nu[0] * ts[0]
+        )
+        got = expected_upcrossing_count(ts, TRUE_FILTER, config, DURATION)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("ts", [
+        np.array([0.5, 1.0, 2.0, 2.5]),
+        np.linspace(0.5, 10.0, 20) + np.r_[np.zeros(19), 1e-6],
+        np.linspace(10.0, 0.5, 20),
+        np.array([[0.5, 1.0], [1.5, 2.0]]),
+        np.array([]),
+    ])
+    def test_uneven_or_malformed_grid_refused(self, ts):
+        with pytest.raises(ValueError):
+            _rate_at_times(ts, TRUE_FILTER, 0.05, DURATION)
+        with pytest.raises(ValueError):
+            expected_upcrossing_count(ts, TRUE_FILTER, IdentificationConfig(), DURATION)
+
+
 class TestFitFrequencies:
     def test_round_trip_average(self):
         estimates = []
@@ -235,6 +335,24 @@ class TestFitDamping:
             fit = fit_damping(record, IdentificationConfig(seed=i))
             small += fit.zeta_f == 0.1
         assert small >= 3
+
+    def test_mismatches_equal_per_replicate_loop(self):
+        record = pseudo_record(31)
+        config = IdentificationConfig(seed=4, damping_grid=(0.2, 0.5), sim_replicates=3)
+        want = []
+        for gi, zeta in enumerate(config.damping_grid):
+            freq = fit_filter_frequencies(record, zeta, config)
+            filt = FilterParams(omega0=freq.omega0, omega_n=freq.omega_n, zeta_f=zeta)
+            acc = np.zeros(record.times.size)
+            for rep in range(config.sim_replicates):
+                sim = unit_variance_process(
+                    filt, record.duration, record.signal.dt, stream(4, "damping", gi, rep)
+                )
+                acc += count_irregular_extrema(sim.samples)
+            mean_counts = acc / config.sim_replicates
+            want.append(float(np.trapezoid((mean_counts - record.extrema_count) ** 2,
+                                           record.times)))
+        assert fit_damping(record, config).mismatches == tuple(want)
 
     def test_single_candidate_grid(self):
         record = pseudo_record(12)
