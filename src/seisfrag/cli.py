@@ -29,7 +29,7 @@ from .ground_motion import (
 )
 from .identification import IdentificationConfig, TargetRecord, identify, write_params_csv
 from .kde import kristan_bandwidth, sample_theta, save_model_csv as save_kde_csv
-from .learning import Kernel, Pool, SvmModel, active_learn, simple_classifier_prbp, train_svm
+from .learning import Kernel, Pool, SvmModel, active_learn, prbp, train_svm
 from .oscillator import PRESETS, solve_linear, solve_nonlinear
 from .rng import stream
 from .table import atomic_write, read_table, write_table
@@ -37,6 +37,9 @@ from .table import atomic_write, read_table, write_table
 LEARN_SCHEDULE = (10, 20, 50, 100, 200, 500, 1000)
 FRAGILITY_SCHEDULE = (20, 50, 100, 200, 500, 1000)
 PRODUCTION_MIN_POOL = 500
+# intensity measures the labels file repeats from the features file
+LABEL_MEASURES = ("pga", "pgv", "pgd", "energy", "lin_disp")
+PGA, LIN_DISP = FEATURE_NAMES.index("pga"), FEATURE_NAMES.index("lin_disp")
 
 log = logging.getLogger(__name__)
 
@@ -209,22 +212,24 @@ def cmd_labels(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     ids, raw = read_features_csv(_features_path(cfg, out))
     structure = cfg.structure
-    kept = prep.filter_pool(raw[:, 12], structure.yield_y)
+    kept = prep.filter_pool(raw[:, LIN_DISP], structure.yield_y)
+    measures = [FEATURE_NAMES.index(name) for name in LABEL_MEASURES]
     rows = []
     for i in kept:
         sig = read_signal_binary(_signal_path(out, int(ids[i])))
         z = float(np.max(np.abs(solve_nonlinear(sig, structure).samples)))
-        rows.append([ids[i], *raw[i, 8:13], z, 1 if z > structure.threshold else -1])
+        rows.append([ids[i], *raw[i, measures], z, 1 if z > structure.threshold else -1])
     path = _labels_path(cfg, out)
-    columns = ["id", "pga", "pgv", "pgd", "energy", "lin_disp", "max_nonlinear", "label"]
-    write_table(path, columns, rows)
+    write_table(path, ["id", *LABEL_MEASURES, "max_nonlinear", "label"], rows)
     return path
 
 
-def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(kept ids, Z values, labels) from a labels CSV."""
-    values = read_table(path).floats()
-    return values[:, 0].astype(int), values[:, 6], values[:, 7].astype(int)
+def read_labels_csv(path, names=("id", "max_nonlinear", "label")) -> tuple[np.ndarray, ...]:
+    """The named columns of a labels CSV, ids and labels as ints; by default
+    (kept ids, Z values, labels)."""
+    table = read_table(path)
+    columns = dict(zip(table.columns, table.floats().T))
+    return tuple(columns[n].astype(int) if n in ("id", "label") else columns[n] for n in names)
 
 
 # ---------------------------------------------------------------------------
@@ -232,35 +237,27 @@ def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _preprocess_path(cfg: RunConfig, out: Path) -> Path:
-    return out / f"preprocess_{cfg.preset}.csv"
+def _transformed_path(cfg: RunConfig, out: Path) -> Path:
+    return out / f"transformed_{cfg.preset}_{cfg.feature_set}.csv"
 
 
-def _build_pool(cfg: RunConfig, out: Path, load_transform: bool = False):
-    """The kept pool in the config's feature view; load_transform reads the
-    transform learn stored instead of fitting it again."""
+def _build_pool(cfg: RunConfig, out: Path):
+    """The kept pool in the config's feature view, its labels and ids, and the
+    transform fitted on it."""
     ids, raw = read_features_csv(_features_path(cfg, out))
     kept_ids, _, labels = read_labels_csv(_labels_path(cfg, out))
     id_to_row = {int(v): k for k, v in enumerate(ids)}
     kept_rows = np.array([id_to_row[int(v)] for v in kept_ids])
     raw_kept = raw[kept_rows]
-    structure = cfg.structure
-    keep_range = (structure.yield_y, 6 * structure.yield_y)
-    if load_transform:
-        path = _preprocess_path(cfg, out)
-        model = prep.load_model_csv(path)
-        if model.keep_range != keep_range:
-            raise ValueError(f"{path}: keep range {model.keep_range} differs from {keep_range}")
-    else:
-        model = prep.fit(raw_kept, keep_range)
+    model = prep.fit(raw_kept)
     transformed = prep.apply(model, raw_kept, view=cfg.feature_set)
     pool = Pool(
         features=transformed,
-        raw_pga=raw_kept[:, 8],
-        raw_lin_disp=raw_kept[:, 12],
+        raw_pga=raw_kept[:, PGA],
+        raw_lin_disp=raw_kept[:, LIN_DISP],
         label_oracle=lambda i: int(labels[i]),
     )
-    return pool, labels, kept_ids, raw_kept, model
+    return pool, labels, kept_ids, model
 
 
 def _learn_dir(cfg: RunConfig, out: Path) -> Path:
@@ -292,16 +289,16 @@ def read_model_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
 
 def cmd_learn(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    pool_template, labels, kept_ids, raw_kept, prep_model = _build_pool(cfg, out)
+    pool_template, labels, kept_ids, prep_model = _build_pool(cfg, out)
     kernel = cfg.make_kernel()
     learn_dir = _learn_dir(cfg, out)
     learn_dir.mkdir(parents=True, exist_ok=True)
     schedule = tuple(n for n in LEARN_SCHEDULE if n <= cfg.budget)
 
-    prep.save_model_csv(_preprocess_path(cfg, out), prep_model)
+    prep.save_model_csv(out / f"preprocess_{cfg.preset}.csv", prep_model)
     dim = pool_template.features.shape[1]
     write_table(
-        out / f"transformed_{cfg.preset}_{cfg.feature_set}.csv",
+        _transformed_path(cfg, out),
         ["id", *(f"x_{j}" for j in range(dim))],
         ([kid, *row] for kid, row in zip(kept_ids, pool_template.features)),
     )
@@ -345,8 +342,8 @@ def cmd_learn(cfg: RunConfig) -> Path:
         learn_dir / "baselines.csv",
         ["classifier", "prbp"],
         [
-            ["pga", simple_classifier_prbp(raw_kept[:, 8], labels)],
-            ["lin_disp", simple_classifier_prbp(raw_kept[:, 12], labels)],
+            ["pga", prbp(pool_template.raw_pga, labels)],
+            ["lin_disp", prbp(pool_template.raw_lin_disp, labels)],
         ],
     )
     return learn_dir
@@ -378,10 +375,26 @@ def _load_final_model(cfg: RunConfig, path: Path, features: np.ndarray) -> SvmMo
     )
 
 
+def _read_transformed(cfg: RunConfig, out: Path, kept_ids: np.ndarray) -> np.ndarray:
+    """The pool matrix learn scored, refused unless its ids are the kept ids."""
+    path = _transformed_path(cfg, out)
+    values = read_table(path).floats()
+    if not np.array_equal(values[:, 0].astype(int), kept_ids):
+        raise ValueError(f"{path}: ids differ from the kept ids of the labels file")
+    # learn scored prep.apply's matrix: column-major in the r4 view, whose
+    # columns apply picks with a list, row-major in r13. BLAS sums the same
+    # values in another order on another layout, which moves scores by ulps.
+    return np.asarray(values[:, 1:], order="F" if cfg.feature_set == "r4" else "C")
+
+
 def cmd_fragility(cfg: RunConfig) -> Path:
-    """Curves at each checkpoint of every run: prefixes are retrained, the final model loaded."""
+    """Curves at each checkpoint of every run, from the labels, the transformed
+    pool and the models learn stored: prefixes are retrained, the final model loaded."""
     out = Path(cfg.out_dir)
-    pool, labels, *_ = _build_pool(cfg, out, load_transform=True)
+    kept_ids, pga, lin_disp, labels = read_labels_csv(
+        _labels_path(cfg, out), ("id", "pga", "lin_disp", "label")
+    )
+    features = _read_transformed(cfg, out, kept_ids)
     kernel = cfg.make_kernel()
     learn_dir = _learn_dir(cfg, out)
     frag_dir = _fragility_dir(cfg, out)
@@ -391,17 +404,17 @@ def cmd_fragility(cfg: RunConfig) -> Path:
 
     def calibrated(model: SvmModel, sub_idx, sub_lab):
         """Pool scores and their probabilities, calibrated on the labeled prefix."""
-        scores = model.score(pool.features)
+        scores = model.score(features)
         return scores, fit_logistic(scores[sub_idx], sub_lab).probability(scores)
 
     report: list[str] = [
-        f"pool.kept={len(pool)}",
+        f"pool.kept={len(labels)}",
         f"pool.positive_rate={np.mean(labels == 1):.17g}",
     ]
     curve_rows = []
     finals = []  # (scores, probabilities) of each run's final model
     for run in range(cfg.n_runs):
-        final = _load_final_model(cfg, learn_dir / f"model_run{run:02d}.csv", pool.features)
+        final = _load_final_model(cfg, learn_dir / f"model_run{run:02d}.csv", features)
         indices, seq_labels = final.labeled_refs, final.labels
         finals.append(calibrated(final, indices, seq_labels))
         for n in schedule:
@@ -412,16 +425,16 @@ def cmd_fragility(cfg: RunConfig) -> Path:
             if n >= len(indices):  # the whole labeled set: the model learn saved
                 scores, probs = finals[-1]
             else:
-                model = train_svm(pool.features[sub_idx], sub_lab, kernel, cfg.cost, refs=sub_idx)
+                model = train_svm(features[sub_idx], sub_lab, kernel, cfg.cost, refs=sub_idx)
                 scores, probs = calibrated(model, sub_idx, sub_lab)
-            projections = {"score": scores, "pga": pool.raw_pga, "lin_disp": pool.raw_lin_disp}
+            projections = {"score": scores, "pga": pga, "lin_disp": lin_disp}
             curves = {
                 name: curve(labels, probs, values, cfg.n_bins, name)
                 for name, values in projections.items()
             }
 
             if kernel.kind == "rbf":
-                lin_model = train_svm(pool.features[sub_idx], sub_lab, linear_kernel, cfg.cost)
+                lin_model = train_svm(features[sub_idx], sub_lab, linear_kernel, cfg.cost)
                 _, lin_probs = calibrated(lin_model, sub_idx, sub_lab)
                 hybrid = hybrid_probability(lin_probs, probs)
                 curves["hybrid"] = curve(labels, hybrid, scores, cfg.n_bins, "hybrid")
@@ -433,7 +446,7 @@ def cmd_fragility(cfg: RunConfig) -> Path:
                                for b in cv.bins)
 
         # labeled-set-only anti-pattern, reported with a warning banner
-        diag = labeled_only_diagnostic(pool.raw_pga[indices], seq_labels, cfg.n_bins)
+        diag = labeled_only_diagnostic(pga[indices], seq_labels, cfg.n_bins)
         mean_bin_p = float(np.mean([b.p_ref for b in diag.bins]))
         report.append(f"run{run:02d}.labeled_only.mean_bin_probability={mean_bin_p:.17g}")
         report.append(

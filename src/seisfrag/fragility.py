@@ -241,25 +241,10 @@ def labeled_only_diagnostic(labeled_values, labeled_labels, n_bins: int) -> Frag
 
     An actively learned labeled set clusters near the decision boundary, so
     this curve hovers near 1/2 regardless of the true curve; it is emitted
-    only for the report, with a warning.
+    only for the report, with a warning. Its estimate is the labels
+    themselves, so each bin's p_est equals its p_ref.
     """
     v = np.asarray(labeled_values, dtype=float)
     y = np.asarray(labeled_labels, dtype=int)
     n_bins = min(n_bins, np.unique(v).size)
-    groups = bin_by_projection(v, n_bins)
-    bins = tuple(
-        FragilityBin(
-            center=float(v[g].mean()),
-            count=int(g.size),
-            p_ref=float(np.mean(y[g] == 1)),
-            p_est=float(np.mean(y[g] == 1)),
-        )
-        for g in groups
-    )
-    return FragilityCurve(
-        projection_name="labeled_only_pga",
-        bins=bins,
-        delta_l2=0.0,
-        entropy=steepness(bins, "entropy"),
-        uncertain_fraction=steepness(bins, "uncertain_band"),
-    )
+    return curve(y, y == 1, v, n_bins, "labeled_only_pga")

@@ -149,6 +149,16 @@ class IdentificationResult:
 # ---------------------------------------------------------------------------
 
 
+def _best_of_starts(objective, starts, options: dict):
+    """The Nelder-Mead result of lowest objective over the starts; the first wins ties."""
+    best = None
+    for x0 in starts:
+        res = minimize(objective, x0, method="Nelder-Mead", options=options)
+        if best is None or res.fun < best.fun:
+            best = res
+    return best
+
+
 def _quantile_time(t: np.ndarray, series: np.ndarray, fraction: float) -> float:
     """First time the normalized monotone series exceeds the fraction."""
     idx = int(np.searchsorted(series, fraction * series[-1]))
@@ -195,20 +205,13 @@ def fit_modulation(record: TargetRecord, config: IdentificationConfig | None = N
     a1_guess = math.sqrt(0.7 * total / plateau)
     base = np.array([a1_guess, 0.5, 1.0, rise, plateau])
 
-    best = None
-    converged = False
-    for pattern in _MOD_START_PATTERNS[: config.n_starts]:
-        u0 = np.log(base * np.asarray(pattern))
-        res = minimize(
-            objective,
-            u0,
-            method="Nelder-Mead",
-            options={"maxiter": config.max_iter * 5, "xatol": 1e-6, "fatol": 1e-12},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = bool(res.success)
-    return ModulationFit(params=unpack(best.x), objective=float(best.fun), converged=converged)
+    starts = [np.log(base * np.asarray(p)) for p in _MOD_START_PATTERNS[: config.n_starts]]
+    best = _best_of_starts(
+        objective, starts, {"maxiter": config.max_iter * 5, "xatol": 1e-6, "fatol": 1e-12}
+    )
+    return ModulationFit(
+        params=unpack(best.x), objective=float(best.fun), converged=bool(best.success)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +334,16 @@ def fit_filter_frequencies(
     w0_guess = max(2.0 * math.pi * early / config.adjustment_factor, 0.5)
     wn_guess = max(2.0 * math.pi * late / config.adjustment_factor, 0.5)
 
-    best = None
-    converged = False
-    for pattern in _FREQ_START_PATTERNS[: config.n_starts]:
-        v0 = np.log([w0_guess * pattern[0], wn_guess * pattern[1]])
-        res = minimize(
-            objective,
-            v0,
-            method="Nelder-Mead",
-            options={"maxiter": config.max_iter, "xatol": 1e-3, "fatol": 1e-8},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = bool(res.success)
+    starts = [np.log([w0_guess * p0, wn_guess * p1])
+              for p0, p1 in _FREQ_START_PATTERNS[: config.n_starts]]
+    best = _best_of_starts(
+        objective, starts, {"maxiter": config.max_iter, "xatol": 1e-3, "fatol": 1e-8}
+    )
     return FrequencyFit(
         omega0=float(math.exp(best.x[0])),
         omega_n=float(math.exp(best.x[1])),
         objective=float(best.fun),
-        converged=converged,
+        converged=bool(best.success),
     )
 
 

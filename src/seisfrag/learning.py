@@ -218,11 +218,6 @@ def auc(scores, labels) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def simple_classifier_prbp(column, labels) -> float:
-    """PRBP of the ordering induced by one raw feature column."""
-    return prbp(column, labels)
-
-
 # ---------------------------------------------------------------------------
 # pool and active learning
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 UPPER_MULTIPLE = 6.0
 
 
-def filter_pool(lin_disps, yield_y: float, upper_multiple: float = UPPER_MULTIPLE) -> np.ndarray:
-    """Indices of signals with yield_y <= L <= upper_multiple * yield_y."""
+def filter_pool(lin_disps, yield_y: float) -> np.ndarray:
+    """Indices of signals with yield_y <= L <= UPPER_MULTIPLE * yield_y."""
     l_arr = np.asarray(lin_disps, dtype=float)
-    mask = (l_arr >= yield_y) & (l_arr <= upper_multiple * yield_y)
+    mask = (l_arr >= yield_y) & (l_arr <= UPPER_MULTIPLE * yield_y)
     return np.flatnonzero(mask)
 
 
@@ -80,14 +80,13 @@ def fit_boxcox_delta(column, bracket: tuple[float, float] = DELTA_BRACKET) -> fl
 class PreprocessModel:
     """Frozen transform constants, fitted on the kept pool only."""
 
-    keep_range: tuple[float, float]
     shifts: np.ndarray  # added before Box-Cox where a component can be <= 0
     deltas: np.ndarray
     means: np.ndarray
     stds: np.ndarray
 
 
-def fit(raw: np.ndarray, keep_range: tuple[float, float]) -> PreprocessModel:
+def fit(raw: np.ndarray) -> PreprocessModel:
     """Fit shifts, Box-Cox exponents, and standardization constants per column."""
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != N_FEATURES:
@@ -109,9 +108,7 @@ def fit(raw: np.ndarray, keep_range: tuple[float, float]) -> PreprocessModel:
         stds[j] = float(np.std(transformed))
         if stds[j] <= 0:
             raise ValueError(f"feature column {j} is constant; cannot standardize")
-    return PreprocessModel(
-        keep_range=keep_range, shifts=shifts, deltas=deltas, means=means, stds=stds
-    )
+    return PreprocessModel(shifts=shifts, deltas=deltas, means=means, stds=stds)
 
 
 def save_model_csv(path, model: PreprocessModel) -> None:
@@ -120,20 +117,12 @@ def save_model_csv(path, model: PreprocessModel) -> None:
         path,
         ["component", "shift", "delta", "mean", "std"],
         zip(range(model.deltas.size), model.shifts, model.deltas, model.means, model.stds),
-        meta={"keep_low": model.keep_range[0], "keep_high": model.keep_range[1]},
     )
 
 
 def load_model_csv(path) -> PreprocessModel:
-    table = read_table(path)
-    _, shifts, deltas, means, stds = table.floats().T
-    return PreprocessModel(
-        keep_range=(float(table.meta["keep_low"]), float(table.meta["keep_high"])),
-        shifts=shifts,
-        deltas=deltas,
-        means=means,
-        stds=stds,
-    )
+    _, shifts, deltas, means, stds = read_table(path).floats().T
+    return PreprocessModel(shifts=shifts, deltas=deltas, means=means, stds=stds)
 
 
 def apply(model: PreprocessModel, raw: np.ndarray, view: str = "r13") -> np.ndarray:

@@ -60,7 +60,7 @@ def build_pool_data(preset_name, size, seed) -> PoolData:
         [float(np.max(np.abs(solve_nonlinear(signals[i], cfg).samples))) for i in kept]
     )
     labels = np.where(z_values > cfg.threshold, 1, -1)
-    model = prep.fit(raw[kept], (cfg.yield_y, 6 * cfg.yield_y))
+    model = prep.fit(raw[kept])
     return PoolData(raw, kept, labels, z_values, model, cfg)
 
 

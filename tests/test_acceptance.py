@@ -44,7 +44,6 @@ from seisfrag.learning import (
     auc,
     dual_objective,
     prbp,
-    simple_classifier_prbp,
     train_svm,
 )
 from seisfrag.oscillator import (
@@ -407,8 +406,8 @@ def test_criterion_10_baseline_frequency_dependence(workspace):
         row_of = {int(v): k for k, v in enumerate(ids)}
         rows = np.array([row_of[int(v)] for v in kept_ids])
         values[preset] = (
-            simple_classifier_prbp(raw[rows, 8], labels),
-            simple_classifier_prbp(raw[rows, 12], labels),
+            prbp(raw[rows, 8], labels),
+            prbp(raw[rows, 12], labels),
         )
     pga_ok = values["10"][0] > values["2.5"][0]
     l_ok = values["2.5"][1] > values["10"][1]
@@ -527,8 +526,8 @@ def test_desk_simple_classifier_orderings(workspace):
         row_of = {int(v): k for k, v in enumerate(ids)}
         rows = np.array([row_of[int(v)] for v in kept_ids])
         values[preset] = (
-            simple_classifier_prbp(raw[rows, 8], labels),
-            simple_classifier_prbp(raw[rows, 12], labels),
+            prbp(raw[rows, 8], labels),
+            prbp(raw[rows, 12], labels),
         )
     assert values["10"][0] > values["10"][1]  # PGA dominates at 10 Hz
     assert values["2.5"][1] > values["2.5"][0]  # L dominates at 2.5 Hz
@@ -580,7 +579,7 @@ def test_desk_score_monotone_with_nonlinear_peak(workspace):
 
     from seisfrag.cli import _build_pool, read_model_csv
 
-    pool, labels, kept_ids, raw_kept, _ = _build_pool(cfg5, out)
+    pool, *_ = _build_pool(cfg5, out)
     _, z_values, _ = read_labels_csv(out / "labels_5.csv")
     indices, seq_labels, *_ = read_model_csv(out / "learn_5_linear_r4" / "model_run00.csv")
     model = train_svm(pool.features[indices], seq_labels, Kernel("linear"), cfg5.cost)

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from seisfrag import cli
-from seisfrag import preprocess as prep
 from seisfrag.cli import (
     RunConfig,
     _build_pool,
     _load_final_model,
+    _read_transformed,
     cmd_fragility,
     cmd_generate,
     cmd_identify,
@@ -259,41 +259,51 @@ class TestFragility:
         with pytest.raises(ValueError, match="model_run01"):
             cmd_fragility(smoke_config(copy))
 
-    def test_stored_transform_equals_a_refit(self, pipeline_dir):
-        cfg, out = pipeline_dir
-        refit, *_, fitted = _build_pool(cfg, out)
-        loaded, *_, stored = _build_pool(cfg, out, load_transform=True)
-        for name in ("shifts", "deltas", "means", "stds"):
-            assert np.array_equal(getattr(stored, name), getattr(fitted, name))
-        assert stored.keep_range == fitted.keep_range
-        assert np.array_equal(loaded.features, refit.features)
-
-    def test_fragility_does_not_refit_the_transform(self, pipeline_dir, tmp_path, monkeypatch):
+    def test_fragility_needs_only_labels_transformed_pool_and_models(self, pipeline_dir,
+                                                                     tmp_path):
         _, out = pipeline_dir
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
-
-        def refit(*args, **kwargs):
-            raise AssertionError("fragility refitted the transform")
-
-        monkeypatch.setattr(prep, "fit", refit)
+        (copy / "features_5.csv").unlink()
+        (copy / "preprocess_5.csv").unlink()
         frag_dir = cmd_fragility(smoke_config(copy))
         for name in ("curves.csv", "report.txt"):
             assert filecmp.cmp(frag_dir / name, out / "fragility_5_linear_r4" / name,
                                shallow=False)
 
-    def test_refuses_transform_of_another_keep_range(self, pipeline_dir, tmp_path):
+    @pytest.mark.parametrize("edit", ["drop_row", "change_id"])
+    def test_refuses_transformed_pool_of_other_ids(self, pipeline_dir, tmp_path, edit):
         _, out = pipeline_dir
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
-        path = copy / "preprocess_5.csv"
+        path = copy / "transformed_5_r4.csv"
         lines = path.read_text().splitlines(keepends=True)
-        edited = [("# keep_high=1\n" if line.startswith("# keep_high=") else line)
-                  for line in lines]
-        assert edited != lines
-        path.write_text("".join(edited))
-        with pytest.raises(ValueError, match="preprocess_5"):
+        if edit == "drop_row":
+            del lines[3]
+        else:
+            signal_id, rest = lines[3].split(",", 1)
+            lines[3] = f"{int(signal_id) + 100000},{rest}"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="transformed_5_r4"):
             cmd_fragility(smoke_config(copy))
+
+    @pytest.mark.parametrize("kernel, view", [("linear", "r4"), ("rbf", "r4"), ("linear", "r13")])
+    def test_stored_pool_scores_like_the_learn_pool(self, pipeline_dir, kernel, view):
+        cfg, out = pipeline_dir
+        cfg = smoke_config(out, kernel=kernel, feature_set=view)
+        learn_dir = out / f"learn_5_{kernel}_{view}"
+        if not learn_dir.exists():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                cmd_learn(cfg)
+        pool, _, kept_ids, _ = _build_pool(cfg, out)
+        stored = _read_transformed(cfg, out, kept_ids)
+        assert np.array_equal(stored, pool.features)
+        for run in range(cfg.n_runs):
+            path = learn_dir / f"model_run{run:02d}.csv"
+            learned = _load_final_model(cfg, path, pool.features).score(pool.features)
+            loaded = _load_final_model(cfg, path, stored).score(stored)
+            assert np.array_equal(loaded, learned)
 
     def test_curves_csv_counts(self, pipeline_dir):
         cfg, out = pipeline_dir

@@ -13,7 +13,6 @@ from seisfrag.learning import (
     prbp,
     roc_curve,
     select_start_points,
-    simple_classifier_prbp,
     train_svm,
     weight_trace,
 )
@@ -121,7 +120,6 @@ class TestPrbp:
         scores = rng.standard_normal(300)
         labels = np.where(rng.random(300) < 0.3, 1, -1)
         assert prbp(scores, labels) == prbp(np.exp(scores), labels)
-        assert simple_classifier_prbp(scores, labels) == prbp(scores, labels)
 
     def test_needs_positives(self):
         with pytest.raises(ValueError):
@@ -251,7 +249,7 @@ class TestActiveLearning:
         )
         evals = {h.n_labeled: h.prbp for h in state.history if h.prbp is not None}
         assert set(evals) == {50, 100}
-        baseline = simple_classifier_prbp(pool.raw_pga, labels)
+        baseline = prbp(pool.raw_pga, labels)
         assert evals[100] > baseline
 
     def test_oracle_failure_preserves_state_and_resumes(self, mini_pool):

@@ -104,7 +104,7 @@ class TestFitApply:
         rng = np.random.default_rng(3)
         raw = np.abs(rng.standard_normal((200, 13))) + 0.1
         raw[:, 3] -= 2.0  # force a column with negative values
-        model = prep.fit(raw, (1.0, 6.0))
+        model = prep.fit(raw)
         assert model.shifts[3] > 0
         out = prep.apply(model, raw)
         assert np.all(np.isfinite(out))
@@ -113,7 +113,7 @@ class TestFitApply:
         raw = np.ones((100, 13))
         raw[:, :12] += np.random.default_rng(0).random((100, 12))
         with pytest.raises(ValueError):
-            prep.fit(raw, (1.0, 6.0))
+            prep.fit(raw)
 
     def test_unknown_view_rejected(self, mini_pool):
         with pytest.raises(ValueError):
@@ -123,7 +123,6 @@ class TestFitApply:
         path = tmp_path / "prep.csv"
         prep.save_model_csv(path, mini_pool.model)
         back = prep.load_model_csv(path)
-        assert back.keep_range == mini_pool.model.keep_range
         assert np.array_equal(back.deltas, mini_pool.model.deltas)
         assert np.array_equal(back.shifts, mini_pool.model.shifts)
         assert np.array_equal(back.means, mini_pool.model.means)
