@@ -19,7 +19,8 @@ import numpy as np
 from . import preprocess as prep
 from .ensemble import reference_ensemble, write_ensemble_csv
 from .features import FEATURE_NAMES, extract
-from .fragility import curve, fit_logistic, hybrid_probability, labeled_only_diagnostic
+from .fragility import (bin_by_projection, curve, fit_logistic, hybrid_probability,
+                        labeled_only_diagnostic)
 from .ground_motion import (
     highpass_correct,
     read_signal_binary,
@@ -413,6 +414,8 @@ def cmd_fragility(cfg: RunConfig) -> Path:
     ]
     curve_rows = []
     finals = []  # (scores, probabilities) of each run's final model
+    fixed = {"pga": pga, "lin_disp": lin_disp}  # never change: binned once per command
+    fixed_groups = {name: bin_by_projection(v, cfg.n_bins) for name, v in fixed.items()}
     for run in range(cfg.n_runs):
         final = _load_final_model(cfg, learn_dir / f"model_run{run:02d}.csv", features)
         indices, seq_labels = final.labeled_refs, final.labels
@@ -427,10 +430,9 @@ def cmd_fragility(cfg: RunConfig) -> Path:
             else:
                 model = train_svm(features[sub_idx], sub_lab, kernel, cfg.cost, refs=sub_idx)
                 scores, probs = calibrated(model, sub_idx, sub_lab)
-            projections = {"score": scores, "pga": pga, "lin_disp": lin_disp}
             curves = {
-                name: curve(labels, probs, values, cfg.n_bins, name)
-                for name, values in projections.items()
+                name: curve(labels, probs, values, cfg.n_bins, name, fixed_groups.get(name))
+                for name, values in {"score": scores, **fixed}.items()
             }
 
             if kernel.kind == "rbf":

@@ -202,14 +202,19 @@ def curve(
     projection_values,
     n_bins: int = DEFAULT_BINS,
     projection_name: str = "score",
+    groups: list[np.ndarray] | None = None,
 ) -> FragilityCurve:
-    """Binned reference and estimated exceedance probabilities plus diagnostics."""
+    """Binned reference and estimated exceedance probabilities plus diagnostics.
+
+    groups, if given, must be bin_by_projection(projection_values, n_bins).
+    """
     y = np.asarray(labels, dtype=int)
     p = np.asarray(probabilities, dtype=float)
     v = np.asarray(projection_values, dtype=float)
     if not (y.size == p.size == v.size):
         raise ValueError("labels, probabilities and projection must align")
-    groups = bin_by_projection(v, n_bins)
+    if groups is None:
+        groups = bin_by_projection(v, n_bins)
     bins = tuple(
         FragilityBin(
             center=float(v[g].mean()),

@@ -61,49 +61,57 @@ def _smo(
     final KKT bounds, so free support vectors sit on the margin within tol/2.
     A feasible (alpha, grad) pair warm-starts the solve; the active-learning
     loop uses this to retrain after each single-point insertion.
+
+    The loop updates crit = -y * grad in place, which equals the gradient
+    update bit for bit (y = +-1) but for the sign of exact zeros, restored on
+    exit; up/low membership is a 0 or -+inf penalty, set only where alpha moved.
     """
     n = labels.size
     if alpha is None:
-        alpha = np.zeros(n)
-        grad = -np.ones(n)  # gradient of 1/2 a^T Q a - e^T a at a = 0
-    else:
-        alpha = alpha.copy()
-        grad = grad.copy()
+        alpha, grad = np.zeros(n), -np.ones(n)  # gradient of 1/2 a^T Q a - e^T a at a = 0
     y = labels.astype(float)
+    crit = -y * grad
+    hi = cost - 1e-12
+    up_pen = np.where(np.where(y > 0, alpha < hi, alpha > 1e-12), 0.0, -np.inf)
+    low_pen = np.where(np.where(y > 0, alpha > 1e-12, alpha < hi), 0.0, np.inf)
+    alpha, ys, diag = alpha.tolist(), y.tolist(), k_matrix.diagonal().tolist()
     max_updates = max(200 * n, 20000)
 
     for _ in range(max_updates):
-        crit = -y * grad
-        up = ((y > 0) & (alpha < cost - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y < 0) & (alpha < cost - 1e-12)) | ((y > 0) & (alpha > 1e-12))
-        i = int(np.argmax(np.where(up, crit, -np.inf)))
-        j = int(np.argmin(np.where(low, crit, np.inf)))
-        m_up = crit[i]
-        m_low = crit[j]
+        i = int(np.argmax(crit + up_pen))
+        j = int(np.argmin(crit + low_pen))
+        m_up, m_low = float(crit[i]), float(crit[j])
         if m_up - m_low < tol:
-            return alpha, float((m_up + m_low) / 2.0), True, grad
+            break
 
-        quad = k_matrix[i, i] + k_matrix[j, j] - 2.0 * k_matrix[i, j]
+        quad = diag[i] + diag[j] - 2.0 * float(k_matrix[i, j])
         t = (m_up - m_low) / max(quad, 1e-12)
         # box constraints along the feasible direction (+y_i e_i, -y_j e_j)
-        if y[i] > 0:
+        if ys[i] > 0:
             t = min(t, cost - alpha[i])
         else:
             t = min(t, alpha[i])
-        if y[j] > 0:
+        if ys[j] > 0:
             t = min(t, alpha[j])
         else:
             t = min(t, cost - alpha[j])
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        grad += t * y * (k_matrix[:, i] - k_matrix[:, j])
+        alpha[i] += ys[i] * t
+        alpha[j] -= ys[j] * t
+        crit -= t * (k_matrix[:, i] - k_matrix[:, j])
+        for k in (i, j):
+            pos, ak = ys[k] > 0, alpha[k]
+            up_pen[k] = 0.0 if (ak < hi if pos else ak > 1e-12) else -np.inf
+            low_pen[k] = 0.0 if (ak > 1e-12 if pos else ak < hi) else np.inf
 
+    converged = m_up - m_low < tol
+    grad = 0.0 - y * crit  # the gradient update never yields -0.0
     crit = -y * grad
-    up = ((y > 0) & (alpha < cost - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-    low = ((y < 0) & (alpha < cost - 1e-12)) | ((y > 0) & (alpha > 1e-12))
-    m_up = float(np.max(np.where(up, crit, -np.inf)))
-    m_low = float(np.min(np.where(low, crit, np.inf)))
-    return alpha, (m_up + m_low) / 2.0, False, grad
+    if converged:
+        m_up, m_low = float(crit[i]), float(crit[j])
+    else:
+        m_up = float(np.max(np.where(up_pen == 0.0, crit, -np.inf)))
+        m_low = float(np.min(np.where(low_pen == 0.0, crit, np.inf)))
+    return np.array(alpha), (m_up + m_low) / 2.0, converged, grad
 
 
 @dataclass(frozen=True)
@@ -283,45 +291,47 @@ class _IncrementalSvm:
         self.features = features
         self.kernel = kernel
         self.cost = cost
-        self.indices = list(indices)
-        self.labels = list(labels)
-        n = len(self.indices)
+        self.n = n = len(indices)
+        self.indices = np.empty(capacity, dtype=np.intp)
+        self.labels = np.empty(capacity, dtype=int)
+        self.indices[:n] = indices
+        self.labels[:n] = labels
         self.k_buf = np.empty((capacity, capacity))
-        block = kernel.matrix(features[self.indices], features[self.indices])
-        self.k_buf[:n, :n] = block
-        self.alpha, self.bias, _, self.grad = _smo(
-            self.k_buf[:n, :n], np.asarray(self.labels), cost, KKT_TOL
+        x = features[self.indices[:n]]
+        self.k_buf[:n, :n] = kernel.matrix(x, x)
+        self.alpha, self.bias, self.converged, self.grad = _smo(
+            self.k_buf[:n, :n], self.labels[:n], cost, KKT_TOL
         )
 
     def add(self, index: int, label: int) -> None:
-        n = len(self.indices)
-        row = self.kernel.matrix(self.features[[index]], self.features[self.indices])[0]
+        n = self.n
+        row = self.kernel.matrix(self.features[[index]], self.features[self.indices[:n]])[0]
         self.k_buf[n, :n] = row
         self.k_buf[:n, n] = row
         self.k_buf[n, n] = float(
             self.kernel.matrix(self.features[[index]], self.features[[index]])[0, 0]
         )
-        signed = self.alpha * np.asarray(self.labels, dtype=float)
-        grad_new = label * float(row @ signed) - 1.0
-        self.indices.append(int(index))
-        self.labels.append(int(label))
+        grad_new = label * float(row @ (self.alpha * self.labels[:n])) - 1.0
+        self.indices[n] = index
+        self.labels[n] = label
         self.alpha = np.append(self.alpha, 0.0)
         self.grad = np.append(self.grad, grad_new)
-        n += 1
-        self.alpha, self.bias, _, self.grad = _smo(
-            self.k_buf[:n, :n], np.asarray(self.labels), self.cost, KKT_TOL,
-            self.alpha, self.grad,
+        self.n = n = n + 1
+        self.alpha, self.bias, self.converged, self.grad = _smo(
+            self.k_buf[:n, :n], self.labels[:n], self.cost, KKT_TOL, self.alpha, self.grad
         )
 
     def model(self) -> SvmModel:
-        y = np.asarray(self.labels)
+        """The current solution; converged reports the latest solve."""
+        idx, y = self.indices[: self.n].copy(), self.labels[: self.n].copy()
         return SvmModel(
-            support_x=self.features[self.indices],
+            support_x=self.features[idx],
             coefficients=self.alpha * y,
             bias=self.bias,
             kernel=self.kernel,
-            labeled_refs=np.asarray(self.indices),
+            labeled_refs=idx,
             labels=y,
+            converged=self.converged,
         )
 
 

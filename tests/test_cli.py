@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seisfrag import cli
+from seisfrag import cli, fragility
 from seisfrag.cli import (
     RunConfig,
     _build_pool,
@@ -304,6 +304,40 @@ class TestFragility:
             learned = _load_final_model(cfg, path, pool.features).score(pool.features)
             loaded = _load_final_model(cfg, path, stored).score(stored)
             assert np.array_equal(loaded, learned)
+
+    def test_fixed_projections_binned_once_per_command(self, pipeline_dir, tmp_path,
+                                                       monkeypatch):
+        _, out = pipeline_dir
+        pga, lin_disp = read_labels_csv(out / "labels_5.csv", ("pga", "lin_disp"))
+        binned = []
+        original = fragility.bin_by_projection
+
+        def counting(values, n_bins, *args):
+            binned.append((np.array_equal(values, pga), np.array_equal(values, lin_disp)))
+            return original(values, n_bins, *args)
+
+        monkeypatch.setattr(fragility, "bin_by_projection", counting)
+        monkeypatch.setattr(cli, "bin_by_projection", counting)
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        cmd_fragility(smoke_config(copy))
+        assert binned.count((True, False)) == 1
+        assert binned.count((False, True)) == 1
+
+    def test_binning_every_checkpoint_gives_the_same_files(self, pipeline_dir, tmp_path,
+                                                           monkeypatch):
+        _, out = pipeline_dir
+
+        def rebinning(labels, probabilities, values, n_bins, name, groups=None):
+            return fragility.curve(labels, probabilities, values, n_bins, name)
+
+        monkeypatch.setattr(cli, "curve", rebinning)
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        frag_dir = cmd_fragility(smoke_config(copy))
+        for name in ("curves.csv", "report.txt"):
+            assert filecmp.cmp(frag_dir / name, out / "fragility_5_linear_r4" / name,
+                               shallow=False)
 
     def test_curves_csv_counts(self, pipeline_dir):
         cfg, out = pipeline_dir

@@ -20,6 +20,8 @@ from seisfrag.fragility import (
 from seisfrag.learning import Kernel, active_learn
 from seisfrag.rng import stream
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestLogistic:
     def test_midpoint_probability(self):

@@ -1,9 +1,13 @@
 """Tests for the SVM core, ranking metrics, and the active-learning loop."""
 
+import math
+
 import numpy as np
 import pytest
 
+from seisfrag import learning
 from seisfrag.learning import (
+    KKT_TOL,
     Kernel,
     OracleError,
     Pool,
@@ -16,6 +20,135 @@ from seisfrag.learning import (
     train_svm,
     weight_trace,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def reference_smo(k_matrix, labels, cost, tol, alpha=None, grad=None):
+    """The SMO loop that rebuilds the gradient, crit and index-set masks on every update."""
+    n = labels.size
+    if alpha is None:
+        alpha = np.zeros(n)
+        grad = -np.ones(n)
+    else:
+        alpha = alpha.copy()
+        grad = grad.copy()
+    y = labels.astype(float)
+    for _ in range(max(200 * n, 20000)):
+        crit = -y * grad
+        up = ((y > 0) & (alpha < cost - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+        low = ((y < 0) & (alpha < cost - 1e-12)) | ((y > 0) & (alpha > 1e-12))
+        i = int(np.argmax(np.where(up, crit, -np.inf)))
+        j = int(np.argmin(np.where(low, crit, np.inf)))
+        m_up = crit[i]
+        m_low = crit[j]
+        if m_up - m_low < tol:
+            return alpha, float((m_up + m_low) / 2.0), True, grad
+        quad = k_matrix[i, i] + k_matrix[j, j] - 2.0 * k_matrix[i, j]
+        t = (m_up - m_low) / max(quad, 1e-12)
+        if y[i] > 0:
+            t = min(t, cost - alpha[i])
+        else:
+            t = min(t, alpha[i])
+        if y[j] > 0:
+            t = min(t, alpha[j])
+        else:
+            t = min(t, cost - alpha[j])
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        grad += t * y * (k_matrix[:, i] - k_matrix[:, j])
+    crit = -y * grad
+    up = ((y > 0) & (alpha < cost - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+    low = ((y < 0) & (alpha < cost - 1e-12)) | ((y > 0) & (alpha > 1e-12))
+    m_up = float(np.max(np.where(up, crit, -np.inf)))
+    m_low = float(np.min(np.where(low, crit, np.inf)))
+    return alpha, (m_up + m_low) / 2.0, False, grad
+
+
+def assert_same_solve(got, want):
+    (alpha, bias, converged, grad), (ref_alpha, ref_bias, ref_converged, ref_grad) = got, want
+    assert np.array_equal(alpha, ref_alpha)
+    assert np.array_equal(grad, ref_grad)
+    assert bias == ref_bias
+    assert converged == ref_converged
+    assert type(bias) is float
+    # the signs of exact zeros too
+    assert np.array_equal(np.signbit(alpha), np.signbit(ref_alpha))
+    assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+    assert math.copysign(1.0, bias) == math.copysign(1.0, ref_bias)
+
+
+def noisy_problem(seed, n, dim=3):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim))
+    y = np.where(x[:, 0] + 0.5 * rng.standard_normal(n) > 0, 1, -1)
+    return x, y
+
+
+class TestSmoAgainstReference:
+    @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cold_solve(self, kernel, seed):
+        x, y = noisy_problem(seed, 80)
+        k = kernel.matrix(x, x)
+        want = reference_smo(k, y, 10.0, KKT_TOL)
+        assert want[2]
+        assert_same_solve(learning._smo(k, y, 10.0, KKT_TOL), want)
+
+    @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.25)])
+    def test_cold_solve_on_the_pool(self, kernel, mini_pool):
+        x = mini_pool.features()[:120]
+        y = mini_pool.labels[:120]
+        k = kernel.matrix(x, x)
+        assert_same_solve(learning._smo(k, y, 10.0, KKT_TOL), reference_smo(k, y, 10.0, KKT_TOL))
+
+    @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.5)])
+    def test_warm_solve_after_appending_a_point(self, kernel):
+        # as _IncrementalSvm.add: the new point enters with a zero dual weight
+        x, y = noisy_problem(3, 61)
+        k = kernel.matrix(x, x)
+        alpha, _, _, grad = reference_smo(k[:60, :60], y[:60], 10.0, KKT_TOL)
+        grad_new = y[60] * float(k[60, :60] @ (alpha * y[:60])) - 1.0
+        alpha, grad = np.append(alpha, 0.0), np.append(grad, grad_new)
+        want = reference_smo(k, y, 10.0, KKT_TOL, alpha, grad)
+        assert_same_solve(learning._smo(k, y, 10.0, KKT_TOL, alpha, grad), want)
+
+    def test_solve_stopped_at_its_update_cap(self):
+        x, y = noisy_problem(4, 40, dim=2)
+        k = Kernel("rbf", gamma=0.5).matrix(x, x)
+        want = reference_smo(k, y, 10.0, 1e-300)
+        assert want[2] is False
+        got = learning._smo(k, y, 10.0, 1e-300)
+        assert got[2] is False
+        assert_same_solve(got, want)
+
+    def test_sign_of_an_exact_zero_bias(self):
+        # symmetric pair: the gradient hits exact zeros and the bias is -0.0
+        x = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        y = np.array([1, -1])
+        k = Kernel("linear").matrix(x, x)
+        want = reference_smo(k, y, 10.0, KKT_TOL)
+        assert want[1] == 0.0 and math.copysign(1.0, want[1]) < 0
+        assert_same_solve(learning._smo(k, y, 10.0, KKT_TOL), want)
+
+    def test_incremental_model_reports_the_latest_solve(self, monkeypatch):
+        x, y = noisy_problem(5, 12)
+        solver = learning._smo
+        report = iter([True, False, True])
+
+        def stub(*args):
+            alpha, bias, _, grad = solver(*args)
+            return alpha, bias, next(report), grad
+
+        monkeypatch.setattr(learning, "_smo", stub)
+        first = [int(np.flatnonzero(y == -1)[0]), int(np.flatnonzero(y == 1)[0])]
+        trainer = learning._IncrementalSvm(x, Kernel("linear"), 10.0, first, y[first], 12)
+        assert trainer.model().converged is True
+        rest = [i for i in range(12) if i not in first]
+        trainer.add(rest[0], int(y[rest[0]]))
+        assert trainer.model().converged is False
+        trainer.add(rest[1], int(y[rest[1]]))
+        assert trainer.model().converged is True
 
 
 class TestSvmCore:
