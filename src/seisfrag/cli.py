@@ -22,6 +22,7 @@ from .features import FEATURE_NAMES, extract
 from .fragility import (bin_by_projection, curve, fit_logistic, hybrid_probability,
                         labeled_only_diagnostic)
 from .ground_motion import (
+    SYNTHESIS_VERSION,
     highpass_correct,
     read_signal_binary,
     read_signal_csv,
@@ -121,8 +122,12 @@ def _convert(type_name, raw):
     return str(raw)
 
 
+# the line save_config heads a pool's config with; load_config skips it
+_VERSION_LINE = f"# synthesis_version={SYNTHESIS_VERSION}"
+
+
 def save_config(cfg: RunConfig, path: Path) -> None:
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(RunConfig)]
+    lines = [_VERSION_LINE, *(f"{f.name}={getattr(cfg, f.name)}" for f in fields(RunConfig))]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -146,18 +151,26 @@ def cmd_generate(cfg: RunConfig) -> Path:
     interrupted run resumes where it stopped and reproduces identical output.
     An out_dir whose pool was generated with another seed, pool_size or
     batch_size is refused: its signals and part files belong to that pool.
+    So is one holding signals or part files of another synthesis version, or
+    of none recorded: resuming it would mix signals of two versions.
     """
     out = Path(cfg.out_dir)
-    (out / "signals").mkdir(parents=True, exist_ok=True)
-    if (out / "config.txt").exists():
+    config_path = out / "config.txt"
+    changed = []
+    if config_path.exists():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            previous = load_config(str(out / "config.txt"), {})
+            previous = load_config(str(config_path), {})
         keys = ("seed", "pool_size", "batch_size")
         changed = [k for k in keys if getattr(previous, k) != getattr(cfg, k)]
-        if changed:
-            raise ValueError(f"{out} holds a pool generated with other {', '.join(changed)}")
-    save_config(cfg, out / "config.txt")
+    stored = any(out.glob("signals/sig_*.bin")) or any(out.glob("features_*_part*.csv"))
+    if stored and not (config_path.exists()
+                       and _VERSION_LINE in config_path.read_text(encoding="utf-8").splitlines()):
+        changed.append("synthesis_version")
+    if changed:
+        raise ValueError(f"{out} holds a pool generated with other {', '.join(changed)}")
+    (out / "signals").mkdir(parents=True, exist_ok=True)
+    save_config(cfg, config_path)
     ensemble = reference_ensemble()
     write_ensemble_csv(out / "ensemble.csv", ensemble)
     kde_model = kristan_bandwidth(ensemble)
@@ -266,6 +279,10 @@ def _learn_dir(cfg: RunConfig, out: Path) -> Path:
 
 
 def _write_model_csv(path: Path, state, kept_ids, kernel: Kernel, cost: float) -> None:
+    meta = {"kernel": kernel.kind, "gamma": kernel.gamma, "cost": cost, "bias": state.model.bias}
+    if state.unconverged_solves:
+        # absent when 0: the benchmark's KKT test skips exactly the four meta lines above
+        meta["unconverged_solves"] = state.unconverged_solves
     write_table(
         path,
         ["order", "pool_index", "signal_id", "label", "coefficient"],
@@ -275,8 +292,7 @@ def _write_model_csv(path: Path, state, kept_ids, kernel: Kernel, cost: float) -
                 zip(state.labeled_indices, state.labels, state.model.coefficients)
             )
         ),
-        meta={"kernel": kernel.kind, "gamma": kernel.gamma, "cost": cost,
-              "bias": state.model.bias},
+        meta=meta,
     )
 
 
@@ -333,6 +349,9 @@ def cmd_learn(cfg: RunConfig) -> Path:
             rows,
         )
         _write_model_csv(learn_dir / f"model_run{run:02d}.csv", state, kept_ids, kernel, cfg.cost)
+        if state.unconverged_solves:
+            log.warning("%s run %02d: %d SMO solves stopped at the update cap",
+                        learn_dir.name, run, state.unconverged_solves)
 
     write_table(
         learn_dir / "summary.csv",
@@ -413,33 +432,38 @@ def cmd_fragility(cfg: RunConfig) -> Path:
         f"pool.positive_rate={np.mean(labels == 1):.17g}",
     ]
     curve_rows = []
-    finals = []  # (scores, probabilities) of each run's final model
+    sensitivity = {k_bins: [] for k_bins in (10, 20, 40)}  # final score delta_l2 per run
     fixed = {"pga": pga, "lin_disp": lin_disp}  # never change: binned once per command
     fixed_groups = {name: bin_by_projection(v, cfg.n_bins) for name, v in fixed.items()}
     for run in range(cfg.n_runs):
         final = _load_final_model(cfg, learn_dir / f"model_run{run:02d}.csv", features)
         indices, seq_labels = final.labeled_refs, final.labels
-        finals.append(calibrated(final, indices, seq_labels))
+        final_scores, final_probs = calibrated(final, indices, seq_labels)
+        final_curves = {}  # the final model's score curve per bin count
         for n in schedule:
             sub_idx = indices[:n]
             sub_lab = seq_labels[:n]
             if len(set(sub_lab)) < 2:
                 continue
             if n >= len(indices):  # the whole labeled set: the model learn saved
-                scores, probs = finals[-1]
+                scores, probs = final_scores, final_probs
             else:
                 model = train_svm(features[sub_idx], sub_lab, kernel, cfg.cost, refs=sub_idx)
                 scores, probs = calibrated(model, sub_idx, sub_lab)
+            groups = {"score": bin_by_projection(scores, cfg.n_bins), **fixed_groups}
             curves = {
-                name: curve(labels, probs, values, cfg.n_bins, name, fixed_groups.get(name))
+                name: curve(labels, probs, values, cfg.n_bins, name, groups[name])
                 for name, values in {"score": scores, **fixed}.items()
             }
+            if n >= len(indices):
+                final_curves[cfg.n_bins] = curves["score"]
 
             if kernel.kind == "rbf":
                 lin_model = train_svm(features[sub_idx], sub_lab, linear_kernel, cfg.cost)
                 _, lin_probs = calibrated(lin_model, sub_idx, sub_lab)
                 hybrid = hybrid_probability(lin_probs, probs)
-                curves["hybrid"] = curve(labels, hybrid, scores, cfg.n_bins, "hybrid")
+                curves["hybrid"] = curve(labels, hybrid, scores, cfg.n_bins, "hybrid",
+                                         groups["score"])
 
             for name, cv in curves.items():
                 for metric in ("delta_l2", "entropy", "uncertain_fraction"):
@@ -456,9 +480,13 @@ def cmd_fragility(cfg: RunConfig) -> Path:
             "active sampling; do not use as a fragility estimate"
         )
 
+        for k_bins, deltas in sensitivity.items():
+            if k_bins not in final_curves:
+                final_curves[k_bins] = curve(labels, final_probs, final_scores, k_bins, "score")
+            deltas.append(final_curves[k_bins].delta_l2)
+
     # binning sensitivity at the final budget, averaged over runs
-    for k_bins in (10, 20, 40):
-        deltas = [curve(labels, p, scores, k_bins, "score").delta_l2 for scores, p in finals]
+    for k_bins, deltas in sensitivity.items():
         report.append(f"sensitivity.k{k_bins}.score.delta_l2_mean={np.mean(deltas):.17g}")
 
     write_table(

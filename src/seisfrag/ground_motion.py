@@ -22,6 +22,10 @@ MIN_DURATION = 20.0  # s
 PAD_AFTER_T2 = 20.0  # s of quiet tail appended after the plateau ends
 DEFAULT_CORNER_OMEGA = 2.0 * math.pi * 0.2  # rad/s, 0.2 Hz high-pass corner
 IRF_CUTOFF = 8.0  # truncate the IRF tail once its envelope drops below e^-8
+PHASOR_ANCHOR_LAGS = 64  # lags between exact recomputations of the IRF phasor
+# Version of the synthesis arithmetic; a pool stored under another version is
+# refused, as its signals differ in the last bits from fresh ones.
+SYNTHESIS_VERSION = 2
 
 
 class ParameterError(ValueError):
@@ -184,12 +188,18 @@ def _normalized_response(
     matching left-Riemann sigma. Evaluated by summing shifted diagonals, so
     each lag costs one vectorized pass, and h and sigma, which do not depend
     on the noise, once per lag for all rows.
+
+    h is the imaginary part of the phasor q_j = amp_j exp((-zeta omega_j +
+    i omega_d,j) lag), which one complex multiply per pulse advances by a
+    lag; q is recomputed exactly every PHASOR_ANCHOR_LAGS lags, so rounding
+    grows over at most that many steps.
     """
     zf = filt.zeta_f
     duration = (n - 1) * dt
     omegas = filt.omega_at(np.arange(n) * dt, duration)
-    wd = omegas * math.sqrt(1.0 - zf**2)
+    rate = -zf * omegas + 1j * (omegas * math.sqrt(1.0 - zf**2))
     amp = omegas / math.sqrt(1.0 - zf**2)
+    step = np.exp(rate * dt)
 
     max_lag_steps = n - 1
     if truncate_irf:
@@ -200,10 +210,15 @@ def _normalized_response(
     s2 = np.zeros(n)
     w_dt = noise * dt
     for ell in range(1, max_lag_steps + 1):
-        lag = ell * dt
-        h = amp[: n - ell] * np.exp(-zf * omegas[: n - ell] * lag) * np.sin(wd[: n - ell] * lag)
+        if (ell - 1) % PHASOR_ANCHOR_LAGS == 0:
+            q = amp[: n - ell] * np.exp(rate[: n - ell] * (ell * dt))
+        else:
+            q = q[:-1]
+            q *= step[: n - ell]
+        h = q.imag
         x[..., ell:] += h * w_dt[..., : n - ell]
-        s2[ell:] += h**2 * dt
+        s2[ell:] += h * h
+    s2 *= dt
 
     y = np.zeros(noise.shape)
     np.divide(x, np.sqrt(s2, out=np.zeros(n), where=s2 > 0), out=y, where=s2 > 0)

@@ -277,6 +277,7 @@ class ActiveState:
     history: list = field(default_factory=list)
     weight_trace: list = field(default_factory=list)  # W per iteration, linear kernel
     bias_trace: list = field(default_factory=list)  # bias per iteration, linear kernel
+    unconverged_solves: int = 0  # incremental SMO solves that stopped at the update cap
 
 
 class _IncrementalSvm:
@@ -302,6 +303,7 @@ class _IncrementalSvm:
         self.alpha, self.bias, self.converged, self.grad = _smo(
             self.k_buf[:n, :n], self.labels[:n], cost, KKT_TOL
         )
+        self.unconverged_solves = int(not self.converged)  # solves stopped at the update cap
 
     def add(self, index: int, label: int) -> None:
         n = self.n
@@ -320,6 +322,7 @@ class _IncrementalSvm:
         self.alpha, self.bias, self.converged, self.grad = _smo(
             self.k_buf[:n, :n], self.labels[:n], self.cost, KKT_TOL, self.alpha, self.grad
         )
+        self.unconverged_solves += not self.converged
 
     def model(self) -> SvmModel:
         """The current solution; converged reports the latest solve."""
@@ -442,6 +445,7 @@ def active_learn(
         state.history.append(
             HistoryEntry(n, int(pick), label, evaluate(model) if n in eval_at else None)
         )
+    state.unconverged_solves = trainer.unconverged_solves
     return state
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seisfrag import cli, fragility
+from seisfrag import cli, fragility, learning
 from seisfrag.cli import (
     RunConfig,
     _build_pool,
@@ -28,6 +28,7 @@ from seisfrag.cli import (
     read_model_csv,
 )
 from seisfrag.ground_motion import (
+    SYNTHESIS_VERSION,
     FilterParams,
     GroundMotionParams,
     ModulationParams,
@@ -37,6 +38,10 @@ from seisfrag.ground_motion import (
 )
 from seisfrag.identification import IdentificationResult
 from seisfrag.learning import train_svm
+from seisfrag.table import read_table
+
+# an overflow or an invalid value in a pipeline stage is a bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SMOKE = dict(seed=3, pool_size=220, budget=25, n_runs=2, batch_size=100, n_bins=6)
 
@@ -142,6 +147,38 @@ class TestGenerate:
         ids, _ = read_features_csv(cmd_generate(smoke_config(out, **pool, preset="10")))
         assert ids.tolist() == list(range(20))
 
+    @pytest.mark.parametrize("stale", ["no_version_line", "other_version", "no_config"])
+    def test_pool_of_another_synthesis_version_refused(self, tmp_path, stale):
+        out = tmp_path / "pool"
+        cfg = smoke_config(out, pool_size=12, batch_size=5)
+        first = cmd_generate(cfg).read_text()
+        signals = {p.name: p.read_bytes() for p in (out / "signals").iterdir()}
+        # its own pool serves another preset, reusing the signal files
+        cmd_generate(smoke_config(out, pool_size=12, batch_size=5, preset="2.5"))
+        assert {p.name: p.read_bytes() for p in (out / "signals").iterdir()} == signals
+        config = out / "config.txt"
+        version_line = f"# synthesis_version={SYNTHESIS_VERSION}\n"
+        assert version_line in config.read_text()
+        if stale == "no_config":
+            config.unlink()
+        else:
+            other = "" if stale == "no_version_line" else "# synthesis_version=1\n"
+            config.write_text(config.read_text().replace(version_line, other))
+        kept = config.read_text() if config.exists() else None
+        with pytest.raises(ValueError, match="synthesis_version"):
+            cmd_generate(cfg)
+        with pytest.raises(ValueError, match="synthesis_version"):
+            cmd_generate(smoke_config(out, pool_size=12, batch_size=5, preset="10"))
+        assert (config.read_text() if config.exists() else None) == kept
+        assert (out / "features_5.csv").read_text() == first
+
+    def test_empty_out_dir_with_an_old_config_accepted(self, tmp_path):
+        out = tmp_path / "pool"
+        out.mkdir()
+        (out / "config.txt").write_text("seed=3\npool_size=12\nbatch_size=5\n")
+        cmd_generate(smoke_config(out, pool_size=12, batch_size=5))
+        assert f"# synthesis_version={SYNTHESIS_VERSION}" in (out / "config.txt").read_text()
+
 
 class TestLabels:
     def test_labels_artifact(self, pipeline_dir):
@@ -172,6 +209,32 @@ class TestLearn:
         assert len(indices) == cfg.budget
         assert len(set(indices)) == cfg.budget
         assert set(labels) == {-1, 1}
+
+    def test_solves_stopped_at_the_cap_are_counted_and_logged(self, pipeline_dir, tmp_path,
+                                                                monkeypatch, caplog):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        calls = []
+        original = learning._smo
+
+        def one_unconverged(*args, **kwargs):
+            alpha, bias, converged, grad = original(*args, **kwargs)
+            calls.append(None)
+            return alpha, bias, converged and len(calls) != 3, grad
+
+        monkeypatch.setattr(learning, "_smo", one_unconverged)
+        with caplog.at_level(logging.WARNING, logger="seisfrag.cli"):
+            learn_dir = cmd_learn(smoke_config(copy))
+        metas = [read_model_csv(learn_dir / f"model_run{run:02d}.csv")[3] for run in (0, 1)]
+        assert metas[0]["unconverged_solves"] == "1"
+        assert "unconverged_solves" not in metas[1]
+        assert [r.getMessage() for r in caplog.records] == [
+            "learn_5_linear_r4 run 00: 1 SMO solves stopped at the update cap"
+        ]
+        # the count is meta only: the rows and every other file are unchanged
+        for name in ("model_run01.csv", "history_run00.csv", "history_run01.csv"):
+            assert filecmp.cmp(learn_dir / name, out / "learn_5_linear_r4" / name, shallow=False)
 
     def test_summary_matches_recomputation(self, pipeline_dir):
         cfg, out = pipeline_dir
@@ -323,6 +386,38 @@ class TestFragility:
         cmd_fragility(smoke_config(copy))
         assert binned.count((True, False)) == 1
         assert binned.count((False, True)) == 1
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_score_binned_once_per_checkpoint(self, pipeline_dir, tmp_path, monkeypatch, kernel):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        # the budget is the schedule's last checkpoint, whose bin count the
+        # sensitivity curves repeat
+        cfg = smoke_config(copy, kernel=kernel, budget=20, n_bins=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cmd_learn(cfg)
+        calls = []
+        original = fragility.bin_by_projection
+
+        def counting(values, n_bins, *args):
+            calls.append(n_bins)
+            return original(values, n_bins, *args)
+
+        monkeypatch.setattr(fragility, "bin_by_projection", counting)
+        monkeypatch.setattr(cli, "bin_by_projection", counting)
+        report = (cmd_fragility(cfg) / "report.txt").read_text().splitlines()
+        # PGA and L once; per run the n=20 score curve (shared by the hybrid),
+        # the labeled-only curve and the K = 20 and 40 sensitivity curves
+        assert sorted(calls) == sorted([10, 10] + cfg.n_runs * [10, 10, 20, 40])
+        values = dict(line.split("=", 1) for line in report)
+        deltas = [float(values[f"run{run:02d}.n20.score.delta_l2"]) for run in range(cfg.n_runs)]
+        assert values["sensitivity.k10.score.delta_l2_mean"] == f"{np.mean(deltas):.17g}"
+        if kernel == "rbf":
+            curves = read_table(copy / "fragility_5_rbf_r4" / "curves.csv").rows
+            score = [row[3:5] for row in curves if row[2] == "score"]
+            assert [row[3:5] for row in curves if row[2] == "hybrid"] == score
 
     def test_binning_every_checkpoint_gives_the_same_files(self, pipeline_dir, tmp_path,
                                                            monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seisfrag.ground_motion import (
+    PHASOR_ANCHOR_LAGS,
     FilterParams,
     GroundMotionParams,
     ModulationParams,
@@ -130,15 +131,46 @@ def reference_noise(seed, n, dt):
     return np.random.default_rng(seed).standard_normal(n) / math.sqrt(dt)
 
 
+# The phasor recurrence rounds differently from the per-lag exp/sin loop; over
+# at most PHASOR_ANCHOR_LAGS steps the unit-variance process moves by ~2e-14.
+RESPONSE_TOL = 1e-13
+
+
+def memory_lags(filt, n, dt, truncate_irf):
+    """The number of lags the convolution sums, as reference_response counts them."""
+    if not truncate_irf:
+        return n - 1
+    omega_min = min(filt.omega0, filt.omega_n)
+    return min(n - 1, int(math.ceil(8.0 / (filt.zeta_f * omega_min) / dt)))
+
+
 class TestUnitVarianceProcess:
     FILT = FilterParams(omega0=2 * np.pi * 7, omega_n=2 * np.pi * 3, zeta_f=0.25)
     DURATION, DT = 6.0, 0.01
     N = 601
+    # (filter, duration, lags its truncated memory must exceed): a ramped
+    # filter whose memory spans three re-anchors, and a long-memory one
+    CASES = {
+        "ramp": (FilterParams(omega0=2 * np.pi * 7, omega_n=2 * np.pi * 3, zeta_f=0.2), 6.0,
+                 3 * PHASOR_ANCHOR_LAGS),
+        "long_memory": (FilterParams(omega0=2 * np.pi * 1.0, omega_n=2 * np.pi * 1.1,
+                                     zeta_f=0.05), 30.0, 2000),
+    }
 
-    def test_single_realization_matches_per_lag_loop(self):
-        sim = unit_variance_process(self.FILT, self.DURATION, self.DT, np.random.default_rng(4))
-        want = reference_response(self.FILT, self.N, self.DT, reference_noise(4, self.N, self.DT))
-        assert np.array_equal(sim.samples, want)
+    @pytest.mark.parametrize("truncate_irf", [True, False])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_block_matches_per_lag_loop(self, case, truncate_irf):
+        filt, duration, min_lags = self.CASES[case]
+        n = int(round(duration / self.DT)) + 1
+        assert memory_lags(filt, n, self.DT, truncate_irf) > min_lags
+        seeds = (3, 8, 21)
+        block = unit_variance_processes(
+            filt, duration, self.DT, [np.random.default_rng(s) for s in seeds], truncate_irf
+        )
+        for row, seed in zip(block, seeds):
+            want = reference_response(filt, n, self.DT, reference_noise(seed, n, self.DT),
+                                      truncate_irf)
+            assert np.max(np.abs(row - want)) <= RESPONSE_TOL
 
     @pytest.mark.parametrize("truncate_irf", [True, False])
     def test_replicate_rows_equal_single_realizations(self, truncate_irf):
@@ -153,9 +185,6 @@ class TestUnitVarianceProcess:
                 self.FILT, self.DURATION, self.DT, np.random.default_rng(seed), truncate_irf
             )
             assert np.array_equal(row, single.samples)
-            noise = reference_noise(seed, self.N, self.DT)
-            assert np.array_equal(row, reference_response(self.FILT, self.N, self.DT, noise,
-                                                          truncate_irf))
 
     def test_invalid_filter_rejected(self):
         bad = FilterParams(omega0=10.0, omega_n=10.0, zeta_f=1.5)
@@ -167,9 +196,12 @@ class TestSynthesize:
     def test_matches_per_lag_loop(self):
         p = default_params(zeta=0.2, f0=9.0, fn=3.0)
         sig = synthesize(p, rng=np.random.default_rng(17))
+        y = unit_variance_process(p.filter, p.modulation.t2 + 20.0, sig.dt,
+                                  np.random.default_rng(17))
+        assert np.array_equal(sig.samples, modulating_q(sig.times, p.modulation) * y.samples)
         n = sig.samples.size
-        y = reference_response(p.filter, n, sig.dt, reference_noise(17, n, sig.dt))
-        assert np.array_equal(sig.samples, modulating_q(sig.times, p.modulation) * y)
+        want = reference_response(p.filter, n, sig.dt, reference_noise(17, n, sig.dt))
+        assert np.max(np.abs(y.samples - want)) <= RESPONSE_TOL
 
     def test_zero_amplitude_gives_zero_signal(self):
         p = default_params(alpha1=0.0)

@@ -19,6 +19,9 @@ from seisfrag.kde import (
     save_model_csv,
 )
 
+# an overflow or an invalid value is a bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def gaussian_sample(n, d, seed=0):
     return np.random.default_rng(seed).standard_normal((n, d))
