@@ -131,6 +131,19 @@ def save_config(cfg: RunConfig, path: Path) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _current_synthesis(out: Path) -> bool:
+    """Whether out's config.txt records this synthesis version."""
+    config_path = out / "config.txt"
+    return config_path.exists() and _VERSION_LINE in config_path.read_text(encoding="utf-8").splitlines()
+
+
+def _require_current_synthesis(out: Path) -> None:
+    """Refuse a pool of another synthesis version, or of none recorded: the
+    artifacts built over it would not be those of a fresh pool."""
+    if not _current_synthesis(out):
+        raise ValueError(f"{out} holds a pool of another synthesis_version")
+
+
 # ---------------------------------------------------------------------------
 # generate: ensemble -> KDE -> signals -> features
 # ---------------------------------------------------------------------------
@@ -164,8 +177,7 @@ def cmd_generate(cfg: RunConfig) -> Path:
         keys = ("seed", "pool_size", "batch_size")
         changed = [k for k in keys if getattr(previous, k) != getattr(cfg, k)]
     stored = any(out.glob("signals/sig_*.bin")) or any(out.glob("features_*_part*.csv"))
-    if stored and not (config_path.exists()
-                       and _VERSION_LINE in config_path.read_text(encoding="utf-8").splitlines()):
+    if stored and not _current_synthesis(out):
         changed.append("synthesis_version")
     if changed:
         raise ValueError(f"{out} holds a pool generated with other {', '.join(changed)}")
@@ -224,6 +236,7 @@ def _labels_path(cfg: RunConfig, out: Path) -> Path:
 
 def cmd_labels(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
+    _require_current_synthesis(out)
     ids, raw = read_features_csv(_features_path(cfg, out))
     structure = cfg.structure
     kept = prep.filter_pool(raw[:, LIN_DISP], structure.yield_y)
@@ -306,6 +319,7 @@ def read_model_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
 
 def cmd_learn(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
+    _require_current_synthesis(out)
     pool_template, labels, kept_ids, prep_model = _build_pool(cfg, out)
     kernel = cfg.make_kernel()
     learn_dir = _learn_dir(cfg, out)
@@ -411,6 +425,7 @@ def cmd_fragility(cfg: RunConfig) -> Path:
     """Curves at each checkpoint of every run, from the labels, the transformed
     pool and the models learn stored: prefixes are retrained, the final model loaded."""
     out = Path(cfg.out_dir)
+    _require_current_synthesis(out)
     kept_ids, pga, lin_disp, labels = read_labels_csv(
         _labels_path(cfg, out), ("id", "pga", "lin_disp", "label")
     )

@@ -126,17 +126,22 @@ class Signal:
 
 
 def modulating_q(t, m: ModulationParams):
-    """Envelope value(s) at time(s) t: 0, quadratic rise, plateau, then decay."""
+    """Envelope value(s) at time t or on a non-decreasing 1-D grid t: 0,
+    quadratic rise on (t0, t1], plateau on (t1, t2], then decay.
+
+    On a sorted grid each phase is one contiguous slice, found by a single
+    search for the three breakpoints.
+    """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if t_arr.ndim != 1 or (t_arr[1:] < t_arr[:-1]).any():
+        raise ValueError("envelope times must be a scalar or a non-decreasing 1-D grid")
     out = np.zeros(t_arr.shape)
     if m.alpha1 != 0.0:
+        i0, i1, i2 = np.searchsorted(t_arr, (m.t0, m.t1, m.t2), side="right").tolist()
         if m.t1 > m.t0:
-            rising = (t_arr > m.t0) & (t_arr <= m.t1)
-            out[rising] = m.alpha1 * ((t_arr[rising] - m.t0) / (m.t1 - m.t0)) ** 2
-        plateau = (t_arr > m.t1) & (t_arr <= m.t2)
-        out[plateau] = m.alpha1
-        tail = t_arr > m.t2
-        out[tail] = m.alpha1 * np.exp(-m.alpha2 * (t_arr[tail] - m.t2) ** m.alpha3)
+            out[i0:i1] = m.alpha1 * ((t_arr[i0:i1] - m.t0) / (m.t1 - m.t0)) ** 2
+        out[i1:i2] = m.alpha1
+        out[i2:] = m.alpha1 * np.exp(-m.alpha2 * (t_arr[i2:] - m.t2) ** m.alpha3)
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import minimize
 
 from .ground_motion import (
@@ -38,6 +37,19 @@ _MOD_START_PATTERNS = (
     (0.9, 1.5, 0.8, 1.3, 0.7),
 )
 _FREQ_START_PATTERNS = ((1.0, 1.0), (1.5, 0.7), (0.7, 1.5), (2.0, 1.0), (1.0, 2.0))
+
+
+def _cumulative_trapezoid(y: np.ndarray, gaps) -> np.ndarray:
+    """scipy's cumulative_trapezoid(y, x, initial=0.0) for gaps = np.diff(x)
+    (or the scalar dx), with the same operations in the same order."""
+    out = np.zeros(y.size)
+    np.cumsum(gaps * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return out
+
+
+def _trapezoid(y: np.ndarray, gaps) -> float:
+    """np.trapezoid(y, x) for gaps = np.diff(x), with the same operations."""
+    return (gaps * (y[1:] + y[:-1]) / 2.0).sum()
 
 
 def count_upcrossings(samples: np.ndarray) -> np.ndarray:
@@ -75,7 +87,7 @@ class TargetRecord:
 
     @classmethod
     def from_signal(cls, sig: Signal) -> "TargetRecord":
-        energy = cumulative_trapezoid(sig.samples**2, dx=sig.dt, initial=0.0)
+        energy = _cumulative_trapezoid(sig.samples**2, sig.dt)
         return cls(
             signal=sig,
             cumulative_energy=energy,
@@ -190,13 +202,13 @@ def fit_modulation(record: TargetRecord, config: IdentificationConfig | None = N
         t2 = t1 + math.exp(u[4])
         return ModulationParams(alpha1=a1, alpha2=a2, alpha3=a3, t1=t1, t2=t2, t0=t0)
 
+    gaps = np.diff(t)
+
     def objective(u):
-        if np.any(np.abs(u) > 50):
+        if (np.abs(u) > 50).any():
             return 1e30
-        m = unpack(u)
-        q2 = modulating_q(t, m) ** 2
-        e_s = cumulative_trapezoid(q2, t, initial=0.0)
-        return float(np.trapezoid((e_s - e_a) ** 2, t))
+        e_s = _cumulative_trapezoid(modulating_q(t, unpack(u)) ** 2, gaps)
+        return float(_trapezoid((e_s - e_a) ** 2, gaps))
 
     t15 = _quantile_time(t, e_a, 0.15)
     t85 = _quantile_time(t, e_a, 0.85)
@@ -246,7 +258,7 @@ def _rate_at_times(
     k = ts.size
     gap = (ts[-1] - ts[0]) / max(k - 1, 1)
     drift = np.abs(ts - (ts[0] + np.arange(k) * gap))
-    if gap < 0 or np.any(drift > 4.0 * np.finfo(float).eps * abs(ts[-1])):
+    if gap < 0 or (drift > 4.0 * np.finfo(float).eps * abs(ts[-1])).any():
         raise ValueError("rate nodes must be evenly spaced and non-decreasing")
     zf = filt.zeta_f
     omega_max = max(filt.omega0, filt.omega_n)
@@ -272,9 +284,11 @@ def _rate_at_times(
     row, live = phasors[0, :0], 0  # the previous node's phasors and how many exist
     for r in order:
         n = alive[r]
-        m = min(n, live)
-        np.multiply(row[:m], step[:m], out=phasors[r, :m])
-        phasors[r, live:n] = anchors[live:n]
+        if n > live:  # new pulses start from their anchors
+            np.multiply(row[:live], step[:live], out=phasors[r, :live])
+            phasors[r, live:n] = anchors[live:n]
+        else:
+            np.multiply(row[:n], step[:n], out=phasors[r, :n])
         row, live = phasors[r], n
 
     omegas = np.subtract.outer(filt.omega_at(ts, ramp_duration), slope * lags)
@@ -303,7 +317,7 @@ def expected_upcrossing_count(
 ) -> np.ndarray:
     """N(t) = integral of rate * adjustment over [0, t], on the grid ts."""
     nu = _rate_at_times(ts, filt, config.quad_dt, ramp_duration)
-    counts = cumulative_trapezoid(nu, ts, initial=0.0) + nu[0] * ts[0]
+    counts = _cumulative_trapezoid(nu, np.diff(ts)) + nu[0] * ts[0]
     return config.adjustment_factor * counts
 
 
@@ -317,15 +331,16 @@ def fit_filter_frequencies(
     duration = record.duration
     ts = np.linspace(duration / config.eval_nodes, duration, config.eval_nodes)
     n_a = np.interp(ts, record.times, record.upcrossing_count)
+    gaps = np.diff(ts)
 
     def objective(v):
         # keep the search inside a physically sensible band; the quadrature
         # cost grows with frequency, so reject runaway candidates up front
-        if np.any(v < math.log(0.2)) or np.any(v > math.log(500.0)):
+        if (v < math.log(0.2)).any() or (v > math.log(500.0)).any():
             return 1e30
         filt = FilterParams(omega0=math.exp(v[0]), omega_n=math.exp(v[1]), zeta_f=zeta_f)
         n_x = expected_upcrossing_count(ts, filt, config, duration)
-        return float(np.trapezoid((n_x - n_a) ** 2, ts))
+        return float(_trapezoid((n_x - n_a) ** 2, gaps))
 
     # crossing slopes at both ends give frequency guesses (rate ~ omega / 2 pi)
     third = duration / 3.0
@@ -365,6 +380,7 @@ def fit_damping(record: TargetRecord, config: IdentificationConfig | None = None
     t = record.times
     duration = record.duration
     dt = record.signal.dt
+    gaps = np.diff(t)
 
     best_idx = -1
     best_mismatch = math.inf
@@ -381,7 +397,7 @@ def fit_damping(record: TargetRecord, config: IdentificationConfig | None = None
         for sim in sims:
             acc += count_irregular_extrema(sim)
         mean_counts = acc / config.sim_replicates
-        mismatch = float(np.trapezoid((mean_counts - record.extrema_count) ** 2, t))
+        mismatch = float(_trapezoid((mean_counts - record.extrema_count) ** 2, gaps))
         mismatches.append(mismatch)
         if mismatch < best_mismatch:
             best_mismatch = mismatch

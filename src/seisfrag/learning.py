@@ -19,14 +19,6 @@ DEFAULT_COST = 10.0
 KKT_TOL = 1e-3
 
 
-class OracleError(RuntimeError):
-    """Label oracle failure; carries the partial state so a run can resume."""
-
-    def __init__(self, message: str, state: "ActiveState | None" = None):
-        super().__init__(message)
-        self.state = state
-
-
 @dataclass(frozen=True)
 class Kernel:
     kind: str  # "linear" or "rbf"
@@ -370,7 +362,6 @@ def active_learn(
     cost: float = DEFAULT_COST,
     eval_at: tuple = (),
     eval_labels: np.ndarray | None = None,
-    resume: ActiveState | None = None,
 ) -> ActiveState:
     """Uncertainty-sampling loop: train, score the rest, query argmin |score|.
 
@@ -391,37 +382,22 @@ def active_learn(
             return None
         return prbp(model.score(pool.features), eval_labels)
 
-    if resume is None:
-        j1, j2 = select_start_points(pool, rng)
-        labeled = [j1, j2]
-        labels = [pool.label(j1), pool.label(j2)]
-        state = ActiveState(labeled_indices=labeled, labels=labels, model=None)
-        trainer = _IncrementalSvm(pool.features, kernel, cost, labeled, labels, budget)
-        state.model = trainer.model()
-        if kernel.kind == "linear":
-            state.weight_trace.append(state.model.weights.copy())
-            state.bias_trace.append(state.model.bias)
-        state.history.append(
-            HistoryEntry(2, j2, labels[1], evaluate(state.model) if 2 in eval_at else None)
-        )
-    else:
-        state = resume
-        trainer = _IncrementalSvm(
-            pool.features, kernel, cost, state.labeled_indices, state.labels, budget
-        )
-        state.model = trainer.model()
+    j1, j2 = select_start_points(pool, rng)
+    labeled = [j1, j2]
+    labels = [pool.label(j1), pool.label(j2)]
+    state = ActiveState(labeled_indices=labeled, labels=labels, model=None)
+    trainer = _IncrementalSvm(pool.features, kernel, cost, labeled, labels, budget)
+    state.model = model = trainer.model()
+    if kernel.kind == "linear":
+        state.weight_trace.append(model.weights.copy())
+        state.bias_trace.append(model.bias)
+    state.history.append(HistoryEntry(2, j2, labels[1], evaluate(model) if 2 in eval_at else None))
 
-    model = state.model
     unlabeled = np.setdiff1d(np.arange(len(pool)), np.array(state.labeled_indices))
     while len(state.labeled_indices) < budget:
         scores = model.score(pool.features[unlabeled])
         pick = unlabeled[int(np.argmin(np.abs(scores)))]
-        try:
-            label = pool.label(pick)
-        except OracleError:
-            raise
-        except Exception as exc:  # preserve progress for resume
-            raise OracleError(f"label oracle failed at pool index {pick}: {exc}", state) from exc
+        label = pool.label(pick)
         state.labeled_indices.append(int(pick))
         state.labels.append(label)
         unlabeled = unlabeled[unlabeled != pick]

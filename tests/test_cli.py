@@ -172,6 +172,20 @@ class TestGenerate:
         assert (config.read_text() if config.exists() else None) == kept
         assert (out / "features_5.csv").read_text() == first
 
+    @pytest.mark.parametrize("command", [cmd_labels, cmd_learn, cmd_fragility])
+    def test_later_stages_refuse_a_pool_without_the_version_line(
+        self, pipeline_dir, tmp_path, command
+    ):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        config = copy / "config.txt"
+        config.write_text(config.read_text().replace(f"# synthesis_version={SYNTHESIS_VERSION}\n", ""))
+        files = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        with pytest.raises(ValueError, match="synthesis_version"):
+            command(smoke_config(copy))
+        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == files
+
     def test_empty_out_dir_with_an_old_config_accepted(self, tmp_path):
         out = tmp_path / "pool"
         out.mkdir()

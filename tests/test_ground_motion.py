@@ -64,6 +64,53 @@ class TestModulatingQ:
         vec = modulating_q(t, m)
         assert vec == pytest.approx([modulating_q(float(ti), m) for ti in t])
 
+    @pytest.mark.parametrize("grid", ["record", "uneven", "ties"])
+    @pytest.mark.parametrize("case", ["inside", "on_nodes", "t1_is_t0", "zero_amplitude",
+                                      "before_grid", "after_grid"])
+    def test_bitwise_equal_to_mask_envelope(self, grid, case):
+        rng = np.random.default_rng(3)
+        if grid == "record":
+            t = np.arange(2501) * 0.01
+        elif grid == "uneven":
+            t = np.sort(rng.uniform(0.0, 25.0, 1500))
+        else:
+            t = np.repeat(np.sort(rng.uniform(0.0, 25.0, 400)), 3)
+        n0, n1, n2 = (float(t[k]) for k in (90, 250, 800))  # breakpoints exactly on nodes
+        params = {
+            "inside": dict(alpha1=1.7, t0=0.733, t1=2.519, t2=8.007),
+            "on_nodes": dict(alpha1=1.7, t0=n0, t1=n1, t2=n2),
+            "t1_is_t0": dict(alpha1=1.7, t0=n0, t1=n0, t2=n2),
+            "zero_amplitude": dict(alpha1=0.0, t0=0.5, t1=2.5, t2=8.0),
+            "before_grid": dict(alpha1=1.7, t0=0.0, t1=0.0, t2=0.0),
+            "after_grid": dict(alpha1=1.7, t0=30.0, t1=31.0, t2=32.0),
+        }[case]
+        m = ModulationParams(alpha2=0.61, alpha3=1.37, **params)
+        assert np.array_equal(modulating_q(t, m), mask_envelope(t, m))
+        for ti in (m.t0, m.t1, m.t2, m.t1 + 0.37, float(t[-1]), 40.0):
+            assert modulating_q(ti, m) == mask_envelope(np.array([ti]), m)[0]
+            assert modulating_q(np.float64(ti), m) == mask_envelope(np.array([ti]), m)[0]
+
+    @pytest.mark.parametrize("t", [np.array([0.0, 2.0, 1.0]), np.linspace(10.0, 0.0, 11),
+                                   np.zeros((2, 3))])
+    def test_decreasing_or_multidimensional_grid_refused(self, t):
+        m = ModulationParams(alpha1=1.0, alpha2=0.5, alpha3=1.0, t1=2.0, t2=5.0)
+        with pytest.raises(ValueError):
+            modulating_q(t, m)
+
+
+def mask_envelope(t: np.ndarray, m: ModulationParams) -> np.ndarray:
+    """The envelope law with one boolean mask per phase, which needs no sort."""
+    out = np.zeros(t.shape)
+    if m.alpha1 != 0.0:
+        if m.t1 > m.t0:
+            rising = (t > m.t0) & (t <= m.t1)
+            out[rising] = m.alpha1 * ((t[rising] - m.t0) / (m.t1 - m.t0)) ** 2
+        plateau = (t > m.t1) & (t <= m.t2)
+        out[plateau] = m.alpha1
+        tail = t > m.t2
+        out[tail] = m.alpha1 * np.exp(-m.alpha2 * (t[tail] - m.t2) ** m.alpha3)
+    return out
+
 
 class TestIrf:
     def test_negative_lag_is_zero(self):

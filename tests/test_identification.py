@@ -1,6 +1,7 @@
 """Tests for envelope, frequency, and damping identification."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from seisfrag.ground_motion import (
     synthesize,
     unit_variance_process,
 )
+from seisfrag import identification
 from seisfrag.identification import (
     IdentificationConfig,
     TargetRecord,
+    _cumulative_trapezoid,
     _rate_at_times,
+    _trapezoid,
     count_irregular_extrema,
     count_upcrossings,
     expected_upcrossing_count,
@@ -274,6 +278,147 @@ class TestRateKernel:
             _rate_at_times(ts, TRUE_FILTER, 0.05, DURATION)
         with pytest.raises(ValueError):
             expected_upcrossing_count(ts, TRUE_FILTER, IdentificationConfig(), DURATION)
+
+
+def min_loop_rate(ts, filt, quad_dt, ramp_duration):
+    """_rate_at_times with its node loop in the form that takes min(n, live)
+    on every row and stores the (mostly empty) anchor slice every time."""
+    ts = np.asarray(ts, dtype=float)
+    k = ts.size
+    gap = (ts[-1] - ts[0]) / max(k - 1, 1)
+    zf = filt.zeta_f
+    omega_max = max(filt.omega0, filt.omega_n)
+    omega_min = min(filt.omega0, filt.omega_n)
+    quad_dt = min(quad_dt, 2.0 * math.pi / (32.0 * omega_max))
+    memory = min(8.0 / (zf * omega_min), float(ts[-1]))
+    lags = (np.arange(int(math.ceil(memory / quad_dt))) + 0.5) * quad_dt
+
+    root = math.sqrt(1.0 - zf**2)
+    c = complex(-zf, root)
+    slope = (filt.omega_n - filt.omega0) / max(ramp_duration, 1e-12)
+    step = np.exp(c * abs(slope) * gap * lags)
+    alive = np.searchsorted(lags, ts, side="right").tolist()
+    if slope >= 0:
+        order, start = range(k), ts[np.minimum(np.searchsorted(ts, lags), k - 1)]
+    else:
+        order, start = range(k - 1, -1, -1), ts[-1]
+    anchors = np.exp(c * filt.omega_at(np.maximum(start - lags, 0.0), ramp_duration) * lags)
+    phasors = np.zeros((k, lags.size), dtype=complex)
+    row, live = phasors[0, :0], 0
+    for r in order:
+        n = alive[r]
+        m = min(n, live)
+        np.multiply(row[:m], step[:m], out=phasors[r, :m])
+        phasors[r, live:n] = anchors[live:n]
+        row, live = phasors[r], n
+
+    omegas = np.subtract.outer(filt.omega_at(ts, ramp_duration), slope * lags)
+    h = omegas * phasors.imag
+    phasors *= c
+    h_dot = np.square(omegas, out=omegas)
+    h_dot *= phasors.imag
+    sig2 = np.einsum("ij,ij->i", h, h)
+    cross = np.einsum("ij,ij->i", h, h_dot)
+    sdot2 = (np.einsum("ij,ij->i", h_dot, h_dot) - cross**2 / sig2) / sig2
+    return np.sqrt(sdot2) / (2.0 * math.pi)
+
+
+def captured_objective(monkeypatch, fit, *args):
+    """The Nelder-Mead objective a fit builds, and its first start."""
+    seen = {}
+
+    def first_start(objective, starts, options):
+        seen.update(objective=objective, start=np.asarray(starts[0]))
+        return SimpleNamespace(x=starts[0], fun=objective(starts[0]), success=True)
+
+    monkeypatch.setattr(identification, "_best_of_starts", first_start)
+    fit(*args)
+    return seen["objective"], seen["start"]
+
+
+class TestArithmeticForms:
+    """The identification hot paths equal their library forms bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 17, 2501])
+    def test_integrators_equal_scipy_and_numpy(self, size):
+        rng = np.random.default_rng(size)
+        x = np.sort(rng.uniform(0.0, 30.0, size))
+        y = rng.standard_normal(size) ** 2
+        gaps = np.diff(x)
+        assert np.array_equal(_cumulative_trapezoid(y, gaps),
+                              cumulative_trapezoid(y, x, initial=0.0))
+        assert np.array_equal(_cumulative_trapezoid(y, 0.01),
+                              cumulative_trapezoid(y, dx=0.01, initial=0.0))
+        assert _trapezoid(y, gaps) == np.trapezoid(y, x)
+
+    def test_record_energy_equals_scipy(self):
+        sig = pseudo_record(5).signal
+        assert np.array_equal(TargetRecord.from_signal(sig).cumulative_energy,
+                              cumulative_trapezoid(sig.samples**2, dx=sig.dt, initial=0.0))
+
+    @pytest.mark.parametrize("zeta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("omega0, omega_n, duration", RAMPS)
+    def test_rate_equals_min_loop(self, zeta, omega0, omega_n, duration):
+        filt = FilterParams(omega0=omega0, omega_n=omega_n, zeta_f=zeta)
+        ts = np.linspace(duration / 48, duration, 48)
+        assert np.array_equal(_rate_at_times(ts, filt, 0.05, duration),
+                              min_loop_rate(ts, filt, 0.05, duration))
+
+    @pytest.mark.parametrize("omega0, omega_n", [(6.0, 3.0), (3.0, 6.0), (4.0, 4.0)])
+    def test_rate_equals_min_loop_while_pulses_appear(self, omega0, omega_n):
+        # memory 27 s over nodes up to 1.5 s: new pulses appear at every node
+        filt = FilterParams(omega0=omega0, omega_n=omega_n, zeta_f=0.1)
+        for ts in (np.linspace(0.02, 1.5, 30), np.array([0.7])):
+            assert np.array_equal(_rate_at_times(ts, filt, 0.01, 20.0),
+                                  min_loop_rate(ts, filt, 0.01, 20.0))
+
+    def test_modulation_objective_equals_scipy_form(self, monkeypatch):
+        record = pseudo_record(21)
+        objective, start = captured_objective(monkeypatch, fit_modulation, record)
+        t, e_a = record.times, record.cumulative_energy
+        t0 = float(t[max(int(np.argmax(e_a > 1e-12 * e_a[-1])) - 1, 0)])
+
+        def scipy_form(u):
+            if np.any(np.abs(u) > 50):
+                return 1e30
+            t1 = t0 + math.exp(u[3])
+            m = ModulationParams(alpha1=math.exp(u[0]), alpha2=math.exp(u[1]),
+                                 alpha3=math.exp(u[2]), t1=t1, t2=t1 + math.exp(u[4]), t0=t0)
+            e_s = cumulative_trapezoid(modulating_q(t, m) ** 2, t, initial=0.0)
+            return float(np.trapezoid((e_s - e_a) ** 2, t))
+
+        rng = np.random.default_rng(8)
+        points = [start + rng.normal(0.0, 1.0, 5) for _ in range(46)]
+        points += [start + np.r_[0, 0, 0, -60.0, 0], start + np.r_[51.0, 0, 0, 0, 0],
+                   np.r_[start[:3], -45.0, -45.0], np.zeros(5)]
+        for u in points:
+            assert objective(u) == scipy_form(u)
+
+    def test_frequency_objective_equals_scipy_form(self, monkeypatch):
+        record = pseudo_record(22)
+        config = IdentificationConfig()
+        objective, start = captured_objective(
+            monkeypatch, fit_filter_frequencies, record, 0.3, config
+        )
+        duration = record.duration
+        ts = np.linspace(duration / config.eval_nodes, duration, config.eval_nodes)
+        n_a = np.interp(ts, record.times, record.upcrossing_count)
+
+        def scipy_form(v):
+            if np.any(v < math.log(0.2)) or np.any(v > math.log(500.0)):
+                return 1e30
+            filt = FilterParams(omega0=math.exp(v[0]), omega_n=math.exp(v[1]), zeta_f=0.3)
+            nu = min_loop_rate(ts, filt, config.quad_dt, duration)
+            n_x = config.adjustment_factor * (
+                cumulative_trapezoid(nu, ts, initial=0.0) + nu[0] * ts[0]
+            )
+            return float(np.trapezoid((n_x - n_a) ** 2, ts))
+
+        rng = np.random.default_rng(9)
+        points = [start + rng.normal(0.0, 0.5, 2) for _ in range(47)]
+        points += [np.log([0.1, 30.0]), np.log([30.0, 600.0]), np.log([0.2, 500.0])]
+        for v in points:
+            assert objective(v) == scipy_form(v)
 
 
 class TestFitFrequencies:

@@ -9,7 +9,6 @@ from seisfrag import learning
 from seisfrag.learning import (
     KKT_TOL,
     Kernel,
-    OracleError,
     Pool,
     active_learn,
     auc,
@@ -384,33 +383,6 @@ class TestActiveLearning:
         assert set(evals) == {50, 100}
         baseline = prbp(pool.raw_pga, labels)
         assert evals[100] > baseline
-
-    def test_oracle_failure_preserves_state_and_resumes(self, mini_pool):
-        labels = mini_pool.labels
-        boom_at = 10
-
-        class FlakyOracle:
-            def __init__(self):
-                self.count = 0
-
-            def __call__(self, i):
-                self.count += 1
-                if self.count == boom_at:
-                    raise RuntimeError("solver crashed")
-                return int(labels[i])
-
-        pool = Pool(mini_pool.features(), mini_pool.raw_kept[:, 8],
-                    mini_pool.raw_kept[:, 12], FlakyOracle())
-        with pytest.raises(OracleError) as excinfo:
-            active_learn(pool, Kernel("linear"), budget=30, rng=np.random.default_rng(6))
-        partial = excinfo.value.state
-        assert partial is not None
-        resumed = active_learn(
-            pool, Kernel("linear"), budget=30, rng=np.random.default_rng(6), resume=partial
-        )
-        clean_pool = mini_pool.make_pool()
-        reference = active_learn(clean_pool, Kernel("linear"), budget=30, rng=np.random.default_rng(6))
-        assert resumed.labeled_indices == reference.labeled_indices
 
     def test_refit_reproduces_pool_labels(self, mini_pool):
         pool = mini_pool.make_pool()
