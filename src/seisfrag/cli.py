@@ -235,6 +235,8 @@ def _labels_path(cfg: RunConfig, out: Path) -> Path:
 
 
 def cmd_labels(cfg: RunConfig) -> Path:
+    """Nonlinear peak Z and label of every kept signal, batch_size signals per
+    call of the batched stepper."""
     out = Path(cfg.out_dir)
     _require_current_synthesis(out)
     ids, raw = read_features_csv(_features_path(cfg, out))
@@ -242,10 +244,12 @@ def cmd_labels(cfg: RunConfig) -> Path:
     kept = prep.filter_pool(raw[:, LIN_DISP], structure.yield_y)
     measures = [FEATURE_NAMES.index(name) for name in LABEL_MEASURES]
     rows = []
-    for i in kept:
-        sig = read_signal_binary(_signal_path(out, int(ids[i])))
-        z = float(np.max(np.abs(solve_nonlinear(sig, structure).samples)))
-        rows.append([ids[i], *raw[i, measures], z, 1 if z > structure.threshold else -1])
+    for start in range(0, kept.size, cfg.batch_size):
+        batch = kept[start : start + cfg.batch_size]
+        signals = [read_signal_binary(_signal_path(out, int(ids[i]))) for i in batch]
+        peaks = solve_nonlinear(signals, structure).samples
+        for i, z in zip(batch, peaks.tolist()):
+            rows.append([ids[i], *raw[i, measures], z, 1 if z > structure.threshold else -1])
     path = _labels_path(cfg, out)
     write_table(path, ["id", *LABEL_MEASURES, "max_nonlinear", "label"], rows)
     return path

@@ -17,6 +17,7 @@ from .ground_motion import Signal
 
 STEPS_PER_PERIOD = 40  # integration resolution relative to the natural period
 BLOWUP_MULTIPLE = 1e6  # |z| beyond this many yield displacements means instability
+CHUNK_STEPS = 512  # time steps of forcing the batched stepper builds and reduces at a time
 
 
 class TimeStepError(RuntimeError):
@@ -67,18 +68,24 @@ class ResponseSummary:
     label: int  # +1 if Z exceeds the threshold, else -1
 
 
-def _integration_grid(signal: Signal, omega: float) -> tuple[float, np.ndarray]:
-    """Forcing -signal resampled onto a grid fine enough for stable stepping."""
+def _refinement(signal: Signal, omega: float) -> tuple[int, float]:
+    """Substeps per sample, and the time step, of a grid fine enough for stable stepping."""
     period = 2.0 * math.pi / omega
     n_sub = max(1, math.ceil(signal.dt / (period / STEPS_PER_PERIOD) - 1e-9))
-    dt = signal.dt / n_sub
-    n = (signal.samples.size - 1) * n_sub + 1
+    return n_sub, signal.dt / n_sub
+
+
+def _forcing(signal: Signal, n_sub: int, dt: float, k0: int, count: int) -> np.ndarray:
+    """Points k0 .. k0 + count - 1 of the forcing -signal on the integration grid."""
     if n_sub == 1:
-        forcing = -signal.samples
-    else:
-        t_fine = np.arange(n) * dt
-        forcing = -np.interp(t_fine, signal.times, signal.samples)
-    return dt, forcing
+        return -signal.samples[k0 : k0 + count]
+    return -np.interp(np.arange(k0, k0 + count) * dt, signal.times, signal.samples)
+
+
+def _integration_grid(signal: Signal, omega: float) -> tuple[float, np.ndarray]:
+    """Forcing -signal resampled onto a grid fine enough for stable stepping."""
+    n_sub, dt = _refinement(signal, omega)
+    return dt, _forcing(signal, n_sub, dt, 0, (signal.samples.size - 1) * n_sub + 1)
 
 
 def solve_linear(signal: Signal, cfg: StructureConfig) -> Signal:
@@ -91,13 +98,14 @@ def solve_linear(signal: Signal, cfg: StructureConfig) -> Signal:
     return Signal(dt=dt, samples=u)
 
 
-def bilinear_force(z: float, eps_p: float, cfg: StructureConfig) -> tuple[float, float]:
+def bilinear_force(z, eps_p, cfg: StructureConfig):
     """Restoring force and updated plastic displacement for displacement z.
 
     Radial return on the 1-D bilinear law: elastic stiffness omega_l^2 (unit
     mass), yield force omega_l^2 * yield_y, back-stress H * eps_p with the
     hardening modulus H chosen so the post-yield tangent is
-    hardening_ratio * elastic.
+    hardening_ratio * elastic. Works elementwise on arrays of oscillators as
+    on scalars.
     """
     e = cfg.omega_l**2
     sig_y = e * cfg.yield_y
@@ -105,58 +113,99 @@ def bilinear_force(z: float, eps_p: float, cfg: StructureConfig) -> tuple[float,
     h = a * e / (1.0 - a)
     sig_trial = e * (z - eps_p)
     xi = sig_trial - h * eps_p
-    if abs(xi) <= sig_y:
-        return sig_trial, eps_p
-    dgamma = (abs(xi) - sig_y) / (e + h)
-    sign = 1.0 if xi > 0 else -1.0
-    eps_p = eps_p + dgamma * sign
+    # zero inside the yield surface, where eps_p and so the force stay as they are
+    dgamma = np.maximum(np.abs(xi) - sig_y, 0.0) / (e + h)
+    eps_p = eps_p + np.copysign(dgamma, xi)
     return e * (z - eps_p), eps_p
 
 
-def solve_nonlinear(signal: Signal, cfg: StructureConfig) -> Signal:
-    """Relative displacement of the elastoplastic system, from rest."""
+@dataclass(frozen=True)
+class NonlinearPeaks:
+    """Peak response of each signal of a batch, in the order given."""
+
+    samples: np.ndarray  # peak |z| of the elastoplastic system per signal, m
+    dt: np.ndarray  # integration time step per signal, s
+
+
+def _recurrence(dt: float, beta: float, omega: float) -> tuple[float, float, float, float]:
+    """(2/dt^2, c3, 1/c1, dt^2/2) of the central-difference step."""
+    c1 = 1.0 / dt**2 + beta * omega / dt
+    c3 = 1.0 / dt**2 - beta * omega / dt
+    return 2.0 / dt**2, c3, 1.0 / c1, 0.5 * dt**2
+
+
+def solve_nonlinear(signals: list[Signal], cfg: StructureConfig,
+                    history: list | None = None) -> NonlinearPeaks:
+    """Peak relative displacement of the elastoplastic system, from rest, per signal.
+
+    One central-difference stepper advances the whole batch on time-major
+    state vectors. Signals are stably ordered by step count, longest first,
+    so the ones still running are a shrinking prefix. The forcing is built
+    CHUNK_STEPS steps at a time, and each chunk of responses reduces into the
+    running peak |z|. Each signal goes through the operations, in the order,
+    of stepping it alone, so its peak does not depend on the batch.
+
+    history, if a list, receives each chunk's responses (steps x the signals
+    running at the chunk's start, in that order); see `nonlinear_history`.
+    """
     omega = cfg.omega_l
-    dt, forcing = _integration_grid(signal, omega)
-    n = forcing.size
+    grids = [_refinement(s, omega) for s in signals]
+    steps = np.array([(s.samples.size - 1) * n_sub for s, (n_sub, _) in zip(signals, grids)],
+                     dtype=np.int64)
+    order = np.argsort(-steps, kind="stable")
+    ends = steps[order].tolist()
+    running = int(np.count_nonzero(steps))
+    peak = np.zeros(len(signals))
+    if running:
+        two_over, c3, inv_c1, half_dt2 = np.array(
+            [_recurrence(grids[i][1], cfg.beta, omega) for i in order[:running]]).T.copy()
+        blowup = BLOWUP_MULTIPLE * cfg.yield_y
+        forcing = np.empty((CHUNK_STEPS, running))
+        zs = np.zeros((CHUNK_STEPS, running))  # z after each step of a chunk
+        z, eps_p, z_prev = np.zeros(running), np.zeros(running), None
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
+            for k0 in range(0, ends[0], CHUNK_STEPS):
+                rows = min(CHUNK_STEPS, ends[0] - k0)
+                width = sum(end > k0 for end in ends)
+                for c in range(width):
+                    i = int(order[c])
+                    count = min(rows, ends[c] - k0)
+                    forcing[:count, c] = _forcing(signals[i], *grids[i], k0, count)
+                if z_prev is None:
+                    z_prev = half_dt2 * forcing[0]  # startup: z(-dt) from rest
+                n = width
+                for j in range(rows):
+                    if j == 0 or ends[n - 1] <= k0 + j:
+                        while ends[n - 1] <= k0 + j:
+                            n -= 1
+                        z, z_prev, eps_p = z[:n], z_prev[:n], eps_p[:n]
+                        a2, a3, a_inv = two_over[:n], c3[:n], inv_c1[:n]
+                    restoring, eps_p = bilinear_force(z, eps_p, cfg)
+                    z_next = zs[j, :n]
+                    np.multiply(forcing[j, :n] - restoring + a2 * z - a3 * z_prev, a_inv,
+                                out=z_next)
+                    z_prev, z = z, z_next
+                # a column whose signal ended inside the chunk holds that signal's
+                # earlier values (or zeros) below its end, which leave its peak as is
+                chunk_peak = np.abs(zs[:rows, :width]).max(axis=0)
+                if not np.all(chunk_peak <= blowup):
+                    bad = int(order[np.argmin(chunk_peak <= blowup)])
+                    raise TimeStepError(
+                        f"nonlinear response of signal {bad} diverged (dt={grids[bad][1]})")
+                np.maximum(peak[:width], chunk_peak, out=peak[:width])
+                if history is not None:
+                    history.append(zs[:rows, :width].copy())
+    out = np.empty_like(peak)
+    out[order] = peak
+    return NonlinearPeaks(samples=out, dt=np.array([dt for _, dt in grids], dtype=float))
 
-    e = omega**2
-    sig_y = e * cfg.yield_y
-    a = cfg.hardening_ratio
-    h_mod = a * e / (1.0 - a)
-    denom = e + h_mod
 
-    c1 = 1.0 / dt**2 + cfg.beta * omega / dt
-    c3 = 1.0 / dt**2 - cfg.beta * omega / dt
-    two_over = 2.0 / dt**2
-    inv_c1 = 1.0 / c1
-    blowup = BLOWUP_MULTIPLE * cfg.yield_y
-
-    out = np.empty(n)
-    f0 = forcing[0]
-    z_prev = 0.5 * dt**2 * f0  # startup: z(-dt) from zero initial conditions
-    z = 0.0
-    eps_p = 0.0
-    for k in range(n - 1):
-        out[k] = z
-        sig_trial = e * (z - eps_p)
-        xi = sig_trial - h_mod * eps_p
-        if xi > sig_y:
-            eps_p += (xi - sig_y) / denom
-            restoring = e * (z - eps_p)
-        elif xi < -sig_y:
-            eps_p -= (-xi - sig_y) / denom
-            restoring = e * (z - eps_p)
-        else:
-            restoring = sig_trial
-        z_next = (forcing[k] - restoring + two_over * z - c3 * z_prev) * inv_c1
-        if abs(z_next) > blowup:
-            raise TimeStepError(f"nonlinear response diverged at step {k} (dt={dt})")
-        z_prev = z
-        z = z_next
-    out[n - 1] = z
-    if not math.isfinite(z):
-        raise TimeStepError(f"nonlinear response diverged (dt={dt})")
-    return Signal(dt=dt, samples=out)
+def nonlinear_history(signal: Signal, cfg: StructureConfig) -> Signal:
+    """Relative displacement of the elastoplastic system over the whole record."""
+    chunks: list[np.ndarray] = []
+    result = solve_nonlinear([signal], cfg, history=chunks)
+    samples = np.concatenate([[0.0], *(chunk[:, 0] for chunk in chunks)])
+    return Signal(dt=float(result.dt[0]), samples=samples)
 
 
 def summarize(signal: Signal, cfg: StructureConfig) -> ResponseSummary:
@@ -171,8 +220,7 @@ def summarize(signal: Signal, cfg: StructureConfig) -> ResponseSummary:
     if l_max <= cfg.yield_y:
         z_max = l_max
     else:
-        nl = solve_nonlinear(signal, cfg)
-        z_max = float(np.max(np.abs(nl.samples)))
+        z_max = float(solve_nonlinear([signal], cfg).samples[0])
     label = 1 if z_max > cfg.threshold else -1
     return ResponseSummary(max_nonlinear=z_max, max_linear=l_max, label=label)
 

@@ -56,9 +56,7 @@ def build_pool_data(preset_name, size, seed) -> PoolData:
         signals.append(sig)
     raw = np.vstack(rows)
     kept = prep.filter_pool(raw[:, 12], cfg.yield_y)
-    z_values = np.array(
-        [float(np.max(np.abs(solve_nonlinear(signals[i], cfg).samples))) for i in kept]
-    )
+    z_values = solve_nonlinear([signals[i] for i in kept], cfg).samples
     labels = np.where(z_values > cfg.threshold, 1, -1)
     model = prep.fit(raw[kept])
     return PoolData(raw, kept, labels, z_values, model, cfg)

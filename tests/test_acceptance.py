@@ -50,9 +50,9 @@ from seisfrag.oscillator import (
     PRESETS,
     StructureConfig,
     bilinear_force,
+    nonlinear_history,
     response_spectrum,
     solve_linear,
-    solve_nonlinear,
     summarize,
 )
 from seisfrag.rng import stream
@@ -192,7 +192,7 @@ def test_criterion_03_oscillator_oracles():
         FilterParams(2 * np.pi * 6, 2 * np.pi * 4, 0.3),
     )
     sig = highpass_correct(synthesize(params, rng=stream(3, "audit")))
-    nl = solve_nonlinear(sig, cfg)
+    nl = nonlinear_history(sig, cfg)
     z, dti = nl.samples, nl.dt
     forcing = -np.interp(np.arange(z.size) * dti, sig.times, sig.samples)
     v = np.gradient(z, dti)

@@ -38,7 +38,9 @@ from seisfrag.ground_motion import (
 )
 from seisfrag.identification import IdentificationResult
 from seisfrag.learning import train_svm
-from seisfrag.table import read_table
+from seisfrag.oscillator import NonlinearPeaks
+from seisfrag.table import read_table, write_table
+from test_oscillator import reference_solve
 
 # an overflow or an invalid value in a pipeline stage is a bug, not noise
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -211,6 +213,39 @@ class TestLabels:
         _, out = pipeline_dir
         _, _, labels = read_labels_csv(out / "labels_5.csv")
         assert 0.05 <= np.mean(labels == 1) <= 0.30
+
+    def test_batches_give_the_scalar_reference_file(self, pipeline_dir, tmp_path, monkeypatch):
+        _, out = pipeline_dir
+        batched, scalar = tmp_path / "batched", tmp_path / "scalar"
+        shutil.copytree(out, batched)
+        shutil.copytree(out, scalar)
+        calls = []
+
+        def one_by_one(signals, structure):
+            calls.append(len(signals))
+            peaks = [np.max(np.abs(reference_solve(s, structure).samples)) for s in signals]
+            return NonlinearPeaks(samples=np.array(peaks), dt=np.zeros(len(signals)))
+
+        cmd_labels(smoke_config(batched, batch_size=7))
+        monkeypatch.setattr(cli, "solve_nonlinear", one_by_one)
+        cmd_labels(smoke_config(scalar, batch_size=7))
+        kept = read_labels_csv(out / "labels_5.csv")[0].size
+        assert kept > 3 * 7 and kept % 7 and calls == [7] * (kept // 7) + [kept % 7]
+        reference = (scalar / "labels_5.csv").read_bytes()
+        assert (batched / "labels_5.csv").read_bytes() == reference
+        assert (out / "labels_5.csv").read_bytes() == reference  # batches of 100
+
+    def test_empty_kept_pool_writes_the_header_only(self, pipeline_dir, tmp_path):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        features = read_table(copy / "features_5.csv")
+        lin_disp = features.columns.index("lin_disp")
+        rows = [[*row[:lin_disp], "0", *row[lin_disp + 1:]] for row in features.rows]
+        write_table(copy / "features_5.csv", features.columns, rows)
+        path = cmd_labels(smoke_config(copy))
+        assert path.read_text() == "id,pga,pgv,pgd,energy,lin_disp,max_nonlinear,label\n"
+        assert read_labels_csv(path)[0].size == 0
 
 
 class TestLearn:
