@@ -41,7 +41,8 @@ FRAGILITY_SCHEDULE = (20, 50, 100, 200, 500, 1000)
 PRODUCTION_MIN_POOL = 500
 # intensity measures the labels file repeats from the features file
 LABEL_MEASURES = ("pga", "pgv", "pgd", "energy", "lin_disp")
-PGA, LIN_DISP = FEATURE_NAMES.index("pga"), FEATURE_NAMES.index("lin_disp")
+LIN_DISP = FEATURE_NAMES.index("lin_disp")
+VIEWS = ("r4", "r13")  # the feature sets: the transformed pool is stored in both
 
 log = logging.getLogger(__name__)
 
@@ -66,7 +67,7 @@ class RunConfig:
             raise ValueError(f"preset must be one of {sorted(PRESETS)}, got {self.preset!r}")
         if self.kernel not in ("linear", "rbf"):
             raise ValueError(f"kernel must be linear or rbf, got {self.kernel!r}")
-        if self.feature_set not in ("r4", "r13"):
+        if self.feature_set not in VIEWS:
             raise ValueError(f"feature_set must be r4 or r13, got {self.feature_set!r}")
         if self.pool_size < 1 or self.budget < 2 or self.n_runs < 1:
             raise ValueError("pool_size, budget and n_runs must be positive")
@@ -234,14 +235,31 @@ def _labels_path(cfg: RunConfig, out: Path) -> Path:
     return out / f"labels_{cfg.preset}.csv"
 
 
+def _transformed_path(cfg: RunConfig, out: Path, view: str) -> Path:
+    return out / f"transformed_{cfg.preset}_{view}.csv"
+
+
 def cmd_labels(cfg: RunConfig) -> Path:
     """Nonlinear peak Z and label of every kept signal, batch_size signals per
-    call of the batched stepper."""
+    call of the batched stepper.
+
+    First the transform is fitted on the kept pool and written with the pool
+    in both feature views, which learn and fragility read; a kept pool too
+    small to fit gets labels only.
+    """
     out = Path(cfg.out_dir)
     _require_current_synthesis(out)
     ids, raw = read_features_csv(_features_path(cfg, out))
     structure = cfg.structure
     kept = prep.filter_pool(raw[:, LIN_DISP], structure.yield_y)
+    if kept.size >= prep.BOXCOX_MIN_VALUES:
+        model = prep.fit(raw[kept])
+        prep.save_model_csv(out / f"preprocess_{cfg.preset}.csv", model)
+        for view in VIEWS:
+            matrix = prep.apply(model, raw[kept], view=view)
+            write_table(_transformed_path(cfg, out, view),
+                        ["id", *(f"x_{j}" for j in range(matrix.shape[1]))],
+                        ([ids[i], *row] for i, row in zip(kept, matrix)))
     measures = [FEATURE_NAMES.index(name) for name in LABEL_MEASURES]
     rows = []
     for start in range(0, kept.size, cfg.batch_size):
@@ -268,27 +286,22 @@ def read_labels_csv(path, names=("id", "max_nonlinear", "label")) -> tuple[np.nd
 # ---------------------------------------------------------------------------
 
 
-def _transformed_path(cfg: RunConfig, out: Path) -> Path:
-    return out / f"transformed_{cfg.preset}_{cfg.feature_set}.csv"
-
-
-def _build_pool(cfg: RunConfig, out: Path):
-    """The kept pool in the config's feature view, its labels and ids, and the
-    transform fitted on it."""
-    ids, raw = read_features_csv(_features_path(cfg, out))
-    kept_ids, _, labels = read_labels_csv(_labels_path(cfg, out))
-    id_to_row = {int(v): k for k, v in enumerate(ids)}
-    kept_rows = np.array([id_to_row[int(v)] for v in kept_ids])
-    raw_kept = raw[kept_rows]
-    model = prep.fit(raw_kept)
-    transformed = prep.apply(model, raw_kept, view=cfg.feature_set)
-    pool = Pool(
-        features=transformed,
-        raw_pga=raw_kept[:, PGA],
-        raw_lin_disp=raw_kept[:, LIN_DISP],
-        label_oracle=lambda i: int(labels[i]),
+def _load_pool(cfg: RunConfig, out: Path) -> tuple[np.ndarray, Pool]:
+    """The kept ids, and the kept pool in the config's feature view: the
+    matrix labels stored, refused unless its ids are the kept ids, with the
+    labels, PGA and L of the labels file."""
+    kept_ids, pga, lin_disp, labels = read_labels_csv(
+        _labels_path(cfg, out), ("id", "pga", "lin_disp", "label")
     )
-    return pool, labels, kept_ids, model
+    path = _transformed_path(cfg, out, cfg.feature_set)
+    values = read_table(path).floats()
+    if not np.array_equal(values[:, 0].astype(int), kept_ids):
+        raise ValueError(f"{path}: ids differ from the kept ids of the labels file")
+    # prep.apply's layout: column-major in the r4 view, whose columns it picks
+    # with a list, row-major in r13. BLAS sums the same values in another order
+    # on another layout, which would move every linear score by ulps.
+    features = np.asarray(values[:, 1:], order="F" if cfg.feature_set == "r4" else "C")
+    return kept_ids, Pool(features, labels, pga, lin_disp)
 
 
 def _learn_dir(cfg: RunConfig, out: Path) -> Path:
@@ -324,28 +337,15 @@ def read_model_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
 def cmd_learn(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     _require_current_synthesis(out)
-    pool_template, labels, kept_ids, prep_model = _build_pool(cfg, out)
+    kept_ids, pool = _load_pool(cfg, out)
     kernel = cfg.make_kernel()
     learn_dir = _learn_dir(cfg, out)
     learn_dir.mkdir(parents=True, exist_ok=True)
     schedule = tuple(n for n in LEARN_SCHEDULE if n <= cfg.budget)
-
-    prep.save_model_csv(out / f"preprocess_{cfg.preset}.csv", prep_model)
-    dim = pool_template.features.shape[1]
-    write_table(
-        _transformed_path(cfg, out),
-        ["id", *(f"x_{j}" for j in range(dim))],
-        ([kid, *row] for kid, row in zip(kept_ids, pool_template.features)),
-    )
+    dim = pool.features.shape[1]
 
     per_run_prbp = {n: [] for n in schedule}
     for run in range(cfg.n_runs):
-        pool = Pool(
-            features=pool_template.features,
-            raw_pga=pool_template.raw_pga,
-            raw_lin_disp=pool_template.raw_lin_disp,
-            label_oracle=lambda i: int(labels[i]),
-        )
         state = active_learn(
             pool,
             kernel,
@@ -353,7 +353,6 @@ def cmd_learn(cfg: RunConfig) -> Path:
             rng=stream(cfg.seed, "learn", run),
             cost=cfg.cost,
             eval_at=schedule,
-            eval_labels=labels,
         )
         rows = []
         for k, entry in enumerate(state.history):
@@ -380,8 +379,8 @@ def cmd_learn(cfg: RunConfig) -> Path:
         learn_dir / "baselines.csv",
         ["classifier", "prbp"],
         [
-            ["pga", prbp(pool_template.raw_pga, labels)],
-            ["lin_disp", prbp(pool_template.raw_lin_disp, labels)],
+            ["pga", prbp(pool.raw_pga, pool.labels)],
+            ["lin_disp", prbp(pool.raw_lin_disp, pool.labels)],
         ],
     )
     return learn_dir
@@ -413,27 +412,14 @@ def _load_final_model(cfg: RunConfig, path: Path, features: np.ndarray) -> SvmMo
     )
 
 
-def _read_transformed(cfg: RunConfig, out: Path, kept_ids: np.ndarray) -> np.ndarray:
-    """The pool matrix learn scored, refused unless its ids are the kept ids."""
-    path = _transformed_path(cfg, out)
-    values = read_table(path).floats()
-    if not np.array_equal(values[:, 0].astype(int), kept_ids):
-        raise ValueError(f"{path}: ids differ from the kept ids of the labels file")
-    # learn scored prep.apply's matrix: column-major in the r4 view, whose
-    # columns apply picks with a list, row-major in r13. BLAS sums the same
-    # values in another order on another layout, which moves scores by ulps.
-    return np.asarray(values[:, 1:], order="F" if cfg.feature_set == "r4" else "C")
-
-
 def cmd_fragility(cfg: RunConfig) -> Path:
-    """Curves at each checkpoint of every run, from the labels, the transformed
-    pool and the models learn stored: prefixes are retrained, the final model loaded."""
+    """Curves at each checkpoint of every run, from the kept pool that labels
+    stored and the models that learn stored: prefixes are retrained, the final
+    model loaded."""
     out = Path(cfg.out_dir)
     _require_current_synthesis(out)
-    kept_ids, pga, lin_disp, labels = read_labels_csv(
-        _labels_path(cfg, out), ("id", "pga", "lin_disp", "label")
-    )
-    features = _read_transformed(cfg, out, kept_ids)
+    _, pool = _load_pool(cfg, out)
+    features, labels, pga, lin_disp = pool.features, pool.labels, pool.raw_pga, pool.raw_lin_disp
     kernel = cfg.make_kernel()
     learn_dir = _learn_dir(cfg, out)
     frag_dir = _fragility_dir(cfg, out)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -224,33 +223,20 @@ def auc(scores, labels) -> float:
 
 
 class Pool:
-    """Unlabeled feature pool with a cached, pay-per-call label oracle."""
+    """The kept pool: transformed features, reference labels, raw PGA and L."""
 
-    def __init__(
-        self,
-        features: np.ndarray,
-        raw_pga: np.ndarray,
-        raw_lin_disp: np.ndarray,
-        label_oracle: Callable[[int], int],
-    ):
+    def __init__(self, features: np.ndarray, labels, raw_pga: np.ndarray,
+                 raw_lin_disp: np.ndarray):
         self.features = np.atleast_2d(np.asarray(features, dtype=float))
+        self.labels = np.asarray(labels, dtype=int)
         self.raw_pga = np.asarray(raw_pga, dtype=float)
         self.raw_lin_disp = np.asarray(raw_lin_disp, dtype=float)
-        if not (len(self.features) == self.raw_pga.size == self.raw_lin_disp.size):
-            raise ValueError("feature matrix and raw columns must align")
-        self._oracle = label_oracle
-        self.label_cache: dict[int, int] = {}
-        self.oracle_calls = 0
+        if not (len(self.features) == self.labels.size == self.raw_pga.size
+                == self.raw_lin_disp.size):
+            raise ValueError("feature matrix, labels and raw columns must align")
 
     def __len__(self) -> int:
         return len(self.features)
-
-    def label(self, index: int) -> int:
-        index = int(index)
-        if index not in self.label_cache:
-            self.oracle_calls += 1
-            self.label_cache[index] = int(self._oracle(index))
-        return self.label_cache[index]
 
 
 @dataclass
@@ -334,8 +320,8 @@ def select_start_points(pool: Pool, rng: np.random.Generator) -> tuple[int, int]
     """One almost-surely-negative and one almost-surely-positive start.
 
     The negative start comes from below both medians of (PGA, L), the
-    positive one from above both 9th deciles; a draw whose oracle label
-    disagrees is discarded and redrawn.
+    positive one from above both 9th deciles; a draw whose label disagrees
+    is discarded and redrawn.
     """
     pga, lin = pool.raw_pga, pool.raw_lin_disp
     low_set = np.flatnonzero((pga < np.quantile(pga, 0.5)) & (lin < np.quantile(lin, 0.5)))
@@ -345,7 +331,7 @@ def select_start_points(pool: Pool, rng: np.random.Generator) -> tuple[int, int]
         remaining = list(candidates)
         while remaining:
             pick = remaining.pop(int(rng.integers(len(remaining))))
-            if pool.label(pick) == wanted:
+            if pool.labels[pick] == wanted:
                 return int(pick)
         raise RuntimeError(f"no candidate with label {wanted} among {candidates.size} draws")
 
@@ -361,13 +347,12 @@ def active_learn(
     rng: np.random.Generator,
     cost: float = DEFAULT_COST,
     eval_at: tuple = (),
-    eval_labels: np.ndarray | None = None,
 ) -> ActiveState:
     """Uncertainty-sampling loop: train, score the rest, query argmin |score|.
 
-    eval_at lists labeled-set sizes at which PRBP over the whole pool is
-    recorded (needs eval_labels, the ground-truth label array). Ties in the
-    query pick the smallest pool index. Deterministic given the rng state.
+    eval_at lists labeled-set sizes at which PRBP over the whole pool, against
+    its labels, is recorded. Ties in the query pick the smallest pool index.
+    Deterministic given the rng state.
 
     Intermediate models come from warm-started solves of the growing dual;
     the final model is retrained from scratch so it is exactly what a refit
@@ -377,14 +362,12 @@ def active_learn(
         raise ValueError("budget must allow at least the two start points")
     eval_at = set(eval_at)
 
-    def evaluate(model: SvmModel) -> float | None:
-        if eval_labels is None:
-            return None
-        return prbp(model.score(pool.features), eval_labels)
+    def evaluate(model: SvmModel) -> float:
+        return prbp(model.score(pool.features), pool.labels)
 
     j1, j2 = select_start_points(pool, rng)
     labeled = [j1, j2]
-    labels = [pool.label(j1), pool.label(j2)]
+    labels = [int(pool.labels[j1]), int(pool.labels[j2])]
     state = ActiveState(labeled_indices=labeled, labels=labels, model=None)
     trainer = _IncrementalSvm(pool.features, kernel, cost, labeled, labels, budget)
     state.model = model = trainer.model()
@@ -397,7 +380,7 @@ def active_learn(
     while len(state.labeled_indices) < budget:
         scores = model.score(pool.features[unlabeled])
         pick = unlabeled[int(np.argmin(np.abs(scores)))]
-        label = pool.label(pick)
+        label = int(pool.labels[pick])
         state.labeled_indices.append(int(pick))
         state.labels.append(label)
         unlabeled = unlabeled[unlabeled != pick]

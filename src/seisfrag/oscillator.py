@@ -79,7 +79,11 @@ def _forcing(signal: Signal, n_sub: int, dt: float, k0: int, count: int) -> np.n
     """Points k0 .. k0 + count - 1 of the forcing -signal on the integration grid."""
     if n_sub == 1:
         return -signal.samples[k0 : k0 + count]
-    return -np.interp(np.arange(k0, k0 + count) * dt, signal.times, signal.samples)
+    # the samples around the points, one spare on each side for rounding in k * dt
+    lo = max(k0 // n_sub - 1, 0)
+    hi = min((k0 + count - 1) // n_sub + 3, signal.samples.size)
+    return -np.interp(np.arange(k0, k0 + count) * dt, np.arange(lo, hi) * signal.dt,
+                      signal.samples[lo:hi])
 
 
 def _integration_grid(signal: Signal, omega: float) -> tuple[float, np.ndarray]:

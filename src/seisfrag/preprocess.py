@@ -19,6 +19,8 @@ DELTA_BRACKET = (-3.0, 3.0)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 UPPER_MULTIPLE = 6.0
+# fewest values an exponent is fitted on; labels writes no transform for a smaller kept pool
+BOXCOX_MIN_VALUES = 30
 
 
 def filter_pool(lin_disps, yield_y: float) -> np.ndarray:
@@ -28,12 +30,16 @@ def filter_pool(lin_disps, yield_y: float) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def boxcox(x, delta: float):
-    """Two-branch power transform, continuous in delta at 0. Requires x > 0."""
+def _logs(x) -> np.ndarray:
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("Box-Cox input must be strictly positive")
-    logs = np.log(x_arr)
+    return np.log(x_arr)
+
+
+def boxcox(x, delta: float):
+    """Two-branch power transform, continuous in delta at 0. Requires x > 0."""
+    logs = _logs(x)
     if delta == 0.0:
         out = logs
     else:
@@ -43,36 +49,43 @@ def boxcox(x, delta: float):
 
 def boxcox_loglik(column: np.ndarray, delta: float) -> float:
     """Profile normal log-likelihood of the transformed data, Jacobian included."""
-    y = boxcox(column, delta)
+    logs = _logs(column)
+    return _loglik(logs, float(np.sum(logs)), delta)
+
+
+def _loglik(logs: np.ndarray, log_sum: float, delta: float) -> float:
+    """boxcox_loglik of the column whose logs and their sum are given."""
+    y = logs if delta == 0.0 else np.expm1(delta * logs) / delta
     var = float(np.var(y))
     if var <= 0:
         return -np.inf
-    n = column.size
-    return -0.5 * n * np.log(var) + (delta - 1.0) * float(np.sum(np.log(column)))
+    return -0.5 * logs.size * np.log(var) + (delta - 1.0) * log_sum
 
 
 def fit_boxcox_delta(column, bracket: tuple[float, float] = DELTA_BRACKET) -> float:
-    """Exponent maximizing the profile log-likelihood, by golden-section search."""
+    """Exponent maximizing the profile log-likelihood, by golden-section search
+    over the column's logs, taken once."""
     col = np.asarray(column, dtype=float)
-    if col.size < 30:
-        raise ValueError(f"need at least 30 values to fit the exponent, got {col.size}")
-    if np.any(col <= 0):
-        raise ValueError("Box-Cox input must be strictly positive")
+    if col.size < BOXCOX_MIN_VALUES:
+        raise ValueError(f"need at least {BOXCOX_MIN_VALUES} values to fit the exponent, "
+                         f"got {col.size}")
+    logs = _logs(col)
+    log_sum = float(np.sum(logs))
 
     lo, hi = bracket
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
-    f_c = boxcox_loglik(col, c)
-    f_d = boxcox_loglik(col, d)
+    f_c = _loglik(logs, log_sum, c)
+    f_d = _loglik(logs, log_sum, d)
     while hi - lo > 1e-6:
         if f_c > f_d:
             hi, d, f_d = d, c, f_c
             c = hi - _INVPHI * (hi - lo)
-            f_c = boxcox_loglik(col, c)
+            f_c = _loglik(logs, log_sum, c)
         else:
             lo, c, f_c = c, d, f_d
             d = lo + _INVPHI * (hi - lo)
-            f_d = boxcox_loglik(col, d)
+            f_d = _loglik(logs, log_sum, d)
     return 0.5 * (lo + hi)
 
 

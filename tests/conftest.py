@@ -35,12 +35,11 @@ class PoolData:
         return prep.apply(self.model, self.raw_kept, view=view)
 
     def make_pool(self, view="r4") -> Pool:
-        labels = self.labels
         return Pool(
             features=self.features(view),
+            labels=self.labels,
             raw_pga=self.raw_kept[:, 8],
             raw_lin_disp=self.raw_kept[:, 12],
-            label_oracle=lambda i: int(labels[i]),
         )
 
 

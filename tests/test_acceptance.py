@@ -577,9 +577,9 @@ def test_desk_score_monotone_with_nonlinear_peak(workspace):
     cfg5 = workspace["cfg5"]
     from scipy.stats import spearmanr
 
-    from seisfrag.cli import _build_pool, read_model_csv
+    from seisfrag.cli import _load_pool, read_model_csv
 
-    pool, *_ = _build_pool(cfg5, out)
+    _, pool = _load_pool(cfg5, out)
     _, z_values, _ = read_labels_csv(out / "labels_5.csv")
     indices, seq_labels, *_ = read_model_csv(out / "learn_5_linear_r4" / "model_run00.csv")
     model = train_svm(pool.features[indices], seq_labels, Kernel("linear"), cfg5.cost)

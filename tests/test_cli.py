@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from seisfrag import cli, fragility, learning
+from seisfrag import preprocess as prep
 from seisfrag.cli import (
     RunConfig,
-    _build_pool,
     _load_final_model,
-    _read_transformed,
+    _load_pool,
     cmd_fragility,
     cmd_generate,
     cmd_identify,
@@ -41,6 +41,7 @@ from seisfrag.learning import train_svm
 from seisfrag.oscillator import NonlinearPeaks
 from seisfrag.table import read_table, write_table
 from test_oscillator import reference_solve
+from test_tracing import _tracing
 
 # an overflow or an invalid value in a pipeline stage is a bug, not noise
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -247,6 +248,17 @@ class TestLabels:
         assert path.read_text() == "id,pga,pgv,pgd,energy,lin_disp,max_nonlinear,label\n"
         assert read_labels_csv(path)[0].size == 0
 
+    def test_kept_pool_too_small_to_fit_gets_labels_but_no_transform(self, tmp_path):
+        ws = tmp_path / "ws"
+        cfg = smoke_config(ws, pool_size=30, preset="10")
+        cmd_generate(cfg)
+        kept = read_labels_csv(cmd_labels(cfg))[0].size
+        assert 0 < kept < prep.BOXCOX_MIN_VALUES
+        assert not [*ws.glob("preprocess_*"), *ws.glob("transformed_*")]
+        for command in (cmd_learn, cmd_fragility):
+            with pytest.raises(FileNotFoundError, match="transformed_10_r4.csv"):
+                command(cfg)
+
 
 class TestLearn:
     def test_history_and_models(self, pipeline_dir):
@@ -320,6 +332,66 @@ class TestLearn:
         assert lines[0] == "id,x_0,x_1,x_2,x_3"
 
 
+class TestKeptPool:
+    """labels fits the transform once; learn and fragility load what it stored."""
+
+    @pytest.mark.parametrize("view", ["r4", "r13"])
+    def test_loaded_pool_is_the_fitted_transform(self, pipeline_dir, view):
+        cfg, out = pipeline_dir  # labelled with feature_set=r4
+        ids, raw = read_features_csv(out / "features_5.csv")
+        kept = prep.filter_pool(raw[:, 12], cfg.structure.yield_y)
+        fitted = prep.apply(prep.fit(raw[kept]), raw[kept], view=view)
+        kept_ids, pool = _load_pool(smoke_config(out, feature_set=view), out)
+        assert np.array_equal(kept_ids, ids[kept])
+        assert pool.features.tobytes() == fitted.tobytes()
+        # BLAS scores depend on the layout: the matrix is laid out as apply's
+        assert pool.features.flags.c_contiguous == fitted.flags.c_contiguous
+        assert pool.features.flags.f_contiguous == fitted.flags.f_contiguous
+        labels_file = read_labels_csv(out / "labels_5.csv", ("label", "pga", "lin_disp"))
+        for stored, column in zip((pool.labels, pool.raw_pga, pool.raw_lin_disp), labels_file):
+            assert np.array_equal(stored, column)
+
+    def test_learn_needs_only_labels_and_the_transformed_pool(self, pipeline_dir, tmp_path):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        (copy / "features_5.csv").unlink()
+        (copy / "preprocess_5.csv").unlink()
+        learn_dir = cmd_learn(smoke_config(copy))
+        names = sorted(p.name for p in (out / "learn_5_linear_r4").iterdir())
+        assert sorted(p.name for p in learn_dir.iterdir()) == names
+        for name in names:
+            assert filecmp.cmp(learn_dir / name, out / "learn_5_linear_r4" / name, shallow=False)
+
+    def test_learn_on_the_other_view_needs_no_relabelling(self, pipeline_dir, tmp_path):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        cfg = smoke_config(copy, feature_set="r13")
+        learn_dir = cmd_learn(cfg)
+        columns = read_table(learn_dir / "history_run00.csv").columns
+        assert columns[4:] == [f"w_{j}" for j in range(13)]
+        assert (cmd_fragility(cfg) / "report.txt").exists()
+
+    def test_only_labels_fits_the_transform_and_reads_features(self, pipeline_dir, tmp_path):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        cfg = smoke_config(copy)
+        tracer = _tracing().Tracer()
+        tracer.install()
+        counts = []
+        try:
+            for command in (cmd_labels, cmd_learn, cmd_fragility):
+                command(cfg)
+                calls = tracer.self_times()
+                counts.append([calls.get(name, (0, 0.0))[0]
+                               for name in ("preprocess.fit", "cli.read_features_csv")])
+        finally:
+            tracer.uninstall()
+        assert counts == [[1, 1], [1, 1], [1, 1]]  # running totals after each command
+
+
 class TestFragility:
     def test_report_has_all_projections(self, pipeline_dir):
         cfg, out = pipeline_dir
@@ -348,7 +420,7 @@ class TestFragility:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 cmd_learn(cfg)
-        pool, *_ = _build_pool(cfg, out)
+        _, pool = _load_pool(cfg, out)
         for run in range(cfg.n_runs):
             path = learn_dir / f"model_run{run:02d}.csv"
             loaded = _load_final_model(cfg, path, pool.features)
@@ -398,24 +470,6 @@ class TestFragility:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="transformed_5_r4"):
             cmd_fragility(smoke_config(copy))
-
-    @pytest.mark.parametrize("kernel, view", [("linear", "r4"), ("rbf", "r4"), ("linear", "r13")])
-    def test_stored_pool_scores_like_the_learn_pool(self, pipeline_dir, kernel, view):
-        cfg, out = pipeline_dir
-        cfg = smoke_config(out, kernel=kernel, feature_set=view)
-        learn_dir = out / f"learn_5_{kernel}_{view}"
-        if not learn_dir.exists():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                cmd_learn(cfg)
-        pool, _, kept_ids, _ = _build_pool(cfg, out)
-        stored = _read_transformed(cfg, out, kept_ids)
-        assert np.array_equal(stored, pool.features)
-        for run in range(cfg.n_runs):
-            path = learn_dir / f"model_run{run:02d}.csv"
-            learned = _load_final_model(cfg, path, pool.features).score(pool.features)
-            loaded = _load_final_model(cfg, path, stored).score(stored)
-            assert np.array_equal(loaded, learned)
 
     def test_fixed_projections_binned_once_per_command(self, pipeline_dir, tmp_path,
                                                        monkeypatch):

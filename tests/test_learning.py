@@ -293,20 +293,12 @@ class TestRoc:
 
 
 class TestPool:
-    def test_oracle_called_once_per_index(self):
-        calls = []
-
-        def oracle(i):
-            calls.append(i)
-            return 1 if i % 2 else -1
-
-        pool = Pool(np.random.default_rng(0).standard_normal((10, 2)),
-                    np.arange(10.0), np.arange(10.0), oracle)
-        for _ in range(3):
-            pool.label(4)
-            pool.label(5)
-        assert calls == [4, 5]
-        assert pool.oracle_calls == 2
+    def test_features_labels_and_raw_columns_must_align(self):
+        features = np.random.default_rng(0).standard_normal((10, 2))
+        labels = np.where(np.arange(10) % 2, 1, -1)
+        assert len(Pool(features, labels, np.arange(10.0), np.arange(10.0))) == 10
+        with pytest.raises(ValueError, match="align"):
+            Pool(features, labels[:9], np.arange(10.0), np.arange(10.0))
 
 
 class TestStartPoints:
@@ -316,8 +308,8 @@ class TestStartPoints:
             j1, j2 = select_start_points(pool, np.random.default_rng(seed))
             assert pool.raw_lin_disp[j1] < pool.raw_lin_disp[j2]
             assert pool.raw_pga[j1] < pool.raw_pga[j2]
-            assert pool.label(j1) == -1
-            assert pool.label(j2) == 1
+            assert pool.labels[j1] == -1
+            assert pool.labels[j2] == 1
 
     def test_low_corner_is_almost_surely_negative(self, mini_pool):
         pool = mini_pool.make_pool()
@@ -364,20 +356,12 @@ class TestActiveLearning:
         state_b = active_learn(pool_b, Kernel("linear"), 30, np.random.default_rng(3))
         assert state_a.labeled_indices == state_b.labeled_indices
 
-    def test_oracle_calls_match_labeled_set(self, mini_pool):
-        pool = mini_pool.make_pool()
-        budget = 25
-        state = active_learn(pool, Kernel("linear"), budget, np.random.default_rng(4))
-        # one oracle call per distinct labeled index plus any rejected start draws
-        assert pool.oracle_calls == len(pool.label_cache)
-        assert set(state.labeled_indices) <= set(pool.label_cache)
-
     def test_prbp_evaluation_and_beating_pga_baseline(self, mini_pool):
         pool = mini_pool.make_pool()
         labels = mini_pool.labels
         state = active_learn(
             pool, Kernel("linear"), budget=100, rng=np.random.default_rng(5),
-            eval_at=(50, 100), eval_labels=labels,
+            eval_at=(50, 100),
         )
         evals = {h.n_labeled: h.prbp for h in state.history if h.prbp is not None}
         assert set(evals) == {50, 100}

@@ -72,6 +72,16 @@ class TestFitDelta:
     def test_too_few_values_rejected(self):
         with pytest.raises(ValueError):
             prep.fit_boxcox_delta(np.ones(10) + np.arange(10))
+        few = prep.BOXCOX_MIN_VALUES
+        with pytest.raises(ValueError, match=f"at least {few} values"):
+            prep.fit_boxcox_delta(1.0 + np.arange(few - 1))
+        assert np.isfinite(prep.fit_boxcox_delta(1.0 + np.arange(few)))
+
+    def test_fitted_exponent_maximizes_the_log_likelihood(self, mini_pool):
+        column = mini_pool.raw_kept[:, 12]
+        delta = prep.fit_boxcox_delta(column)
+        best = prep.boxcox_loglik(column, delta)
+        assert all(best >= prep.boxcox_loglik(column, delta + step) for step in (-1e-2, 1e-2))
 
 
 class TestFitApply:
