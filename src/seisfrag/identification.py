@@ -8,8 +8,11 @@ negative maxima over a candidate grid.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -367,50 +370,62 @@ def fit_filter_frequencies(
 # ---------------------------------------------------------------------------
 
 
-def fit_damping(record: TargetRecord, config: IdentificationConfig | None = None) -> DampingFit:
+def _damping_candidate(record: TargetRecord, config: IdentificationConfig, gi: int,
+                       zeta: float) -> tuple[FrequencyFit, float]:
+    """The frequency fit at damping grid[gi] = zeta, and the mismatch of the
+    averaged simulated irregular-extrema counts with the record's."""
+    freq_fit = fit_filter_frequencies(record, zeta, config)
+    filt = FilterParams(omega0=freq_fit.omega0, omega_n=freq_fit.omega_n, zeta_f=zeta)
+    sims = unit_variance_processes(
+        filt, record.duration, record.signal.dt,
+        [stream(config.seed, "damping", gi, rep) for rep in range(config.sim_replicates)],
+    )
+    acc = np.zeros(record.times.size)
+    for sim in sims:
+        acc += count_irregular_extrema(sim)
+    mean_counts = acc / config.sim_replicates
+    return freq_fit, float(_trapezoid((mean_counts - record.extrema_count) ** 2,
+                                      np.diff(record.times)))
+
+
+def _damping_tasks(record: TargetRecord, config: IdentificationConfig) -> list:
+    return [partial(_damping_candidate, record, config, gi, zeta)
+            for gi, zeta in enumerate(sorted(config.damping_grid))]
+
+
+def fit_damping(record: TargetRecord, config: IdentificationConfig | None = None, *,
+                candidates: list | None = None) -> DampingFit:
     """Grid search on the damping ratio with a simulation oracle per candidate.
 
     For each candidate the frequencies are refitted, replicate realizations of
     the normalized process are simulated, and the averaged cumulative count of
     positive minima and negative maxima is compared with the record's. Ties
     resolve toward smaller damping (the grid is scanned in ascending order).
+    `candidates` are the (frequency fit, mismatch) pairs of the ascending grid
+    when already computed; `identify` computes them alongside the envelope.
     """
     config = config or IdentificationConfig()
     grid = tuple(sorted(config.damping_grid))
-    t = record.times
-    duration = record.duration
-    dt = record.signal.dt
-    gaps = np.diff(t)
-
-    best_idx = -1
-    best_mismatch = math.inf
-    best_freqs: FrequencyFit | None = None
-    mismatches = []
-    for gi, zeta in enumerate(grid):
-        freq_fit = fit_filter_frequencies(record, zeta, config)
-        filt = FilterParams(omega0=freq_fit.omega0, omega_n=freq_fit.omega_n, zeta_f=zeta)
-        sims = unit_variance_processes(
-            filt, duration, dt,
-            [stream(config.seed, "damping", gi, rep) for rep in range(config.sim_replicates)],
-        )
-        acc = np.zeros(t.size)
-        for sim in sims:
-            acc += count_irregular_extrema(sim)
-        mean_counts = acc / config.sim_replicates
-        mismatch = float(_trapezoid((mean_counts - record.extrema_count) ** 2, gaps))
-        mismatches.append(mismatch)
+    if candidates is None:
+        candidates = _run_shared(_damping_tasks(record, config))
+    best_idx, best_mismatch = -1, math.inf
+    for gi, (_, mismatch) in enumerate(candidates):
         if mismatch < best_mismatch:
-            best_mismatch = mismatch
-            best_idx = gi
-            best_freqs = freq_fit
-    return DampingFit(zeta_f=grid[best_idx], frequency_fit=best_freqs, mismatches=tuple(mismatches))
+            best_idx, best_mismatch = gi, mismatch
+    return DampingFit(zeta_f=grid[best_idx], frequency_fit=candidates[best_idx][0],
+                      mismatches=tuple(m for _, m in candidates))
 
 
 def identify(record: TargetRecord, config: IdentificationConfig | None = None) -> IdentificationResult:
-    """Full identification: envelope, then damping with nested frequency fits."""
+    """Full identification: the envelope, and the damping with nested frequency fits.
+
+    The envelope fit and the per-candidate damping work are independent, so
+    they run as one shared task list (see `_run_shared`).
+    """
     config = config or IdentificationConfig()
-    mod_fit = fit_modulation(record, config)
-    damp_fit = fit_damping(record, config)
+    mod_fit, *candidates = _run_shared([partial(fit_modulation, record, config),
+                                        *_damping_tasks(record, config)])
+    damp_fit = fit_damping(record, config, candidates=candidates)
     params = GroundMotionParams(
         modulation=mod_fit.params,
         filter=FilterParams(
@@ -422,6 +437,96 @@ def identify(record: TargetRecord, config: IdentificationConfig | None = None) -
     return IdentificationResult(
         params=params, converged=mod_fit.converged and damp_fit.frequency_fit.converged
     )
+
+
+# ---------------------------------------------------------------------------
+# independent fits on every core
+# ---------------------------------------------------------------------------
+
+
+def _drain(tasks: list, claim, stop) -> dict:
+    """Run the tasks whose indices claim() hands out until it passes the end;
+    an error calls stop() so that no further task starts, and propagates."""
+    done = {}
+    while (i := claim()) < len(tasks):
+        try:
+            done[i] = tasks[i]()
+        except BaseException:
+            stop()
+            raise
+    return done
+
+
+def _work(tasks: list, claim, stop, conn) -> None:
+    """Body of a forked worker: send back (results by index, error or None)."""
+    with conn:
+        try:
+            conn.send((_drain(tasks, claim, stop), None))
+        except Exception as exc:
+            conn.send(({}, exc))
+
+
+def _run_shared(tasks: list) -> list:
+    """Results of independent zero-argument tasks, in task order.
+
+    This process and one forked worker per spare core take task indices from
+    one shared counter, so no core waits on a fixed share of the list. This
+    process always takes tasks too: an interval timer the caller set fires
+    only here, since timers are not inherited across fork. On one core, where
+    the platform has no affinity mask, or in a daemonic process (which may
+    not have children), nothing is forked. The first error, here or in a
+    worker, stops the remaining tasks and is raised once every worker has
+    been joined.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    spare = min(cores, len(tasks)) - 1
+    if spare > 0:
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:
+            spare = 0
+    if spare < 1:
+        claim, stop = itertools.count().__next__, lambda: None
+    else:
+        ctx = multiprocessing.get_context("fork")
+        counter = ctx.Value("q", 0)
+
+        def claim() -> int:
+            with counter.get_lock():
+                counter.value += 1
+                return counter.value - 1
+
+        def stop() -> None:
+            with counter.get_lock():
+                counter.value = len(tasks)
+
+    procs, readers, errors, done = [], [], [], {}
+    try:
+        for _ in range(spare):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            with writer:  # closed here, so that a worker's exit reads as end of file
+                proc = ctx.Process(target=_work, args=(tasks, claim, stop, writer), daemon=True)
+                proc.start()
+            procs.append(proc)
+        done = _drain(tasks, claim, stop)
+    except BaseException as exc:
+        stop()
+        errors.append(exc)
+    for reader in readers:
+        with reader:
+            try:
+                part, error = reader.recv()
+            except EOFError:
+                part, error = {}, RuntimeError("an identification worker exited without results")
+        done.update(part)
+        if error is not None:
+            errors.append(error)
+    for proc in procs:
+        proc.join()
+    if errors:
+        raise errors[0]
+    return [done[i] for i in range(len(tasks))]
 
 
 # ---------------------------------------------------------------------------

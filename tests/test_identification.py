@@ -1,6 +1,13 @@
 """Tests for envelope, frequency, and damping identification."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +25,7 @@ from seisfrag.ground_motion import (
 )
 from seisfrag import identification
 from seisfrag.identification import (
+    FrequencyFit,
     IdentificationConfig,
     TargetRecord,
     _cumulative_trapezoid,
@@ -499,6 +507,14 @@ class TestFitDamping:
                                            record.times)))
         assert fit_damping(record, config).mismatches == tuple(want)
 
+    def test_ties_go_to_the_smaller_damping(self):
+        fits = [FrequencyFit(omega0=k + 1.0, omega_n=1.0, objective=0.0, converged=True)
+                for k in range(3)]
+        config = IdentificationConfig(damping_grid=(0.5, 0.2, 0.3))
+        fit = fit_damping(exact_energy_record(TRUE_MOD), config,
+                          candidates=list(zip(fits, (2.0, 1.0, 1.0))))
+        assert (fit.zeta_f, fit.frequency_fit, fit.mismatches) == (0.3, fits[1], (2.0, 1.0, 1.0))
+
     def test_single_candidate_grid(self):
         record = pseudo_record(12)
         fit = fit_damping(record, IdentificationConfig(damping_grid=(0.35,), sim_replicates=2))
@@ -559,6 +575,177 @@ class TestIdentify:
         vec = GroundMotionParams(fit.params, TRUE_FILTER).as_vector()
         assert vec.size == 8
         assert GroundMotionParams.from_vector(vec).modulation.t0 == 0.0
+
+
+def round_trip_record(mod, filt, i) -> TargetRecord:
+    """A pseudo-record from the acceptance suite's identification round trip."""
+    sig = synthesize(GroundMotionParams(mod, filt), duration=DURATION,
+                     rng=stream(4, "round-trip", i))
+    return TargetRecord.from_signal(sig)
+
+
+def serial_identify(record, config):
+    """Envelope, then each damping candidate in grid order, in this process."""
+    mod_fit = fit_modulation(record, config)
+    fits, mismatches = [], []
+    for gi, zeta in enumerate(sorted(config.damping_grid)):
+        freq = fit_filter_frequencies(record, zeta, config)
+        filt = FilterParams(omega0=freq.omega0, omega_n=freq.omega_n, zeta_f=zeta)
+        acc = np.zeros(record.times.size)
+        for rep in range(config.sim_replicates):
+            sim = unit_variance_process(filt, record.duration, record.signal.dt,
+                                        stream(config.seed, "damping", gi, rep))
+            acc += count_irregular_extrema(sim.samples)
+        fits.append(filt)
+        mismatches.append(float(np.trapezoid(
+            (acc / config.sim_replicates - record.extrema_count) ** 2, record.times)))
+    best = min(range(len(fits)), key=lambda gi: (mismatches[gi], gi))
+    params = GroundMotionParams(mod_fit.params, fits[best])
+    return params, mod_fit.converged, tuple(mismatches)
+
+
+def cores(monkeypatch, n):
+    monkeypatch.setattr(identification.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def no_fork(*args, **kwargs):
+    raise AssertionError("a worker was started on one core")
+
+
+class TestSharedIdentification:
+    """`identify` runs its envelope fit and damping candidates on every core."""
+
+    def identified(self, record, config):
+        seen = []
+        traced = identification.fit_damping
+
+        def recording(*args, **kwargs):
+            seen.append(traced(*args, **kwargs))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(identification, "fit_damping", recording)
+            result = identify(record, config)
+        assert len(seen) == 1
+        return result.params, result.converged, seen[0].mismatches
+
+    @pytest.mark.parametrize("vector", ["A", "B"])
+    def test_shared_one_core_and_serial_runs_are_bit_identical(self, monkeypatch, vector):
+        mod, filt, i = {
+            "A": (TRUE_MOD, TRUE_FILTER, 0),
+            "B": (ModulationParams(alpha1=1.0, alpha2=0.4, alpha3=1.0, t1=1.5, t2=9.0),
+                  FilterParams(omega0=2 * np.pi * 6, omega_n=2 * np.pi * 3, zeta_f=0.2), 1),
+        }[vector]
+        record = round_trip_record(mod, filt, i)
+        config = IdentificationConfig(seed=i)
+        cores(monkeypatch, 2)
+        shared = self.identified(record, config)
+        assert not multiprocessing.active_children()
+        cores(monkeypatch, 1)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        alone = self.identified(record, config)
+        reference = serial_identify(record, config)
+        for params, converged, mismatches in (shared, alone):
+            assert params.as_vector().tobytes() == reference[0].as_vector().tobytes()
+            assert params.modulation.t0 == reference[0].modulation.t0
+            assert converged == reference[1]
+            assert np.array(mismatches).tobytes() == np.array(reference[2]).tobytes()
+
+    def test_error_of_every_candidate_reaches_the_caller(self, monkeypatch):
+        cores(monkeypatch, 2)
+        sig = Signal(dt=DT, samples=np.sin(np.arange(100) * DT * 0.5))
+        with pytest.raises(ValueError, match="^record has fewer than 5 up-crossings$"):
+            identify(TargetRecord.from_signal(sig))
+        assert not multiprocessing.active_children()
+
+    def test_worker_error_is_raised_here_and_stops_the_rest(self, monkeypatch):
+        cores(monkeypatch, 2)
+        parent, ran = os.getpid(), []
+
+        def task():
+            if os.getpid() != parent:
+                raise KeyError("in the worker")
+            time.sleep(0.03)
+            ran.append(1)
+        tasks = [task] * 60
+        with pytest.raises(KeyError, match="in the worker"):
+            identification._run_shared(tasks)
+        assert len(ran) < 40
+        assert not multiprocessing.active_children()
+
+    def test_error_here_joins_the_worker(self, monkeypatch):
+        cores(monkeypatch, 2)
+        parent = os.getpid()
+
+        def task():
+            time.sleep(0.03)
+            if os.getpid() == parent:
+                raise OSError("in the caller")
+        with pytest.raises(OSError, match="in the caller"):
+            identification._run_shared([task] * 4)
+        assert not multiprocessing.active_children()
+
+    def test_worker_that_dies_is_reported(self, monkeypatch):
+        cores(monkeypatch, 2)
+        parent = os.getpid()
+
+        def task():
+            if os.getpid() != parent:
+                os._exit(3)
+            time.sleep(0.03)
+        with pytest.raises(RuntimeError, match="exited without results"):
+            identification._run_shared([task] * 20)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("platform", ["one core", "no affinity mask"])
+    def test_nothing_is_forked(self, monkeypatch, platform):
+        if platform == "one core":
+            cores(monkeypatch, 1)
+        else:
+            monkeypatch.delattr(identification.os, "sched_getaffinity")
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        tasks = [lambda k=k: (os.getpid(), k) for k in range(4)]
+        assert identification._run_shared(tasks) == [(os.getpid(), k) for k in range(4)]
+
+    def test_daemonic_process_runs_the_tasks_itself(self, monkeypatch):
+        cores(monkeypatch, 2)
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+
+        def body():
+            tasks = [lambda k=k: (os.getpid(), k) for k in range(4)]
+            writer.send(identification._run_shared(tasks))
+        proc = ctx.Process(target=body, daemon=True)
+        with reader, writer:
+            proc.start()
+            assert reader.poll(60)
+            results = reader.recv()
+        proc.join(60)
+        assert proc.exitcode == 0
+        assert results == [(proc.pid, k) for k in range(4)]
+
+    def test_more_workers_than_cores_run_every_task_once_in_order(self, monkeypatch):
+        cores(monkeypatch, 4)
+        hits = multiprocessing.get_context("fork").Array("i", 400, lock=False)
+
+        def task(k):
+            hits[k] += 1
+            time.sleep(0.001)
+            return k, os.getpid()
+        results = identification._run_shared([partial(task, k) for k in range(len(hits))])
+        assert [k for k, _ in results] == list(range(len(hits)))
+        assert len({pid for _, pid in results}) > 1
+        assert list(hits) == [1] * len(hits)
+        assert not multiprocessing.active_children()
+
+    def test_importing_the_cli_leaves_multiprocessing_out(self):
+        code = "import sys, seisfrag.cli; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in [str(Path(identification.__file__).parents[1]),
+                        os.environ.get("PYTHONPATH")] if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestParamsCsv:
