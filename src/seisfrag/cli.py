@@ -12,6 +12,7 @@ import logging
 import sys
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .kde import kristan_bandwidth, sample_theta, save_model_csv as save_kde_csv
 from .learning import Kernel, Pool, SvmModel, active_learn, prbp, train_svm
 from .oscillator import PRESETS, solve_linear, solve_nonlinear
 from .rng import stream
+from .runner import run_shared
 from .table import atomic_write, read_table, write_table
 
 LEARN_SCHEDULE = (10, 20, 50, 100, 200, 500, 1000)
@@ -158,6 +160,22 @@ def _features_path(cfg: RunConfig, out: Path) -> Path:
     return out / f"features_{cfg.preset}.csv"
 
 
+def _feature_row(out: Path, seed: int, kde_model, structure, i: int) -> list:
+    """The features row of signal i, over its stored signal or, when there is
+    none, a fresh one that is stored first. Signal i draws only from its own
+    streams, so any process computes the same row."""
+    params = sample_theta(kde_model, stream(seed, "theta", i))
+    sig_path = _signal_path(out, i)
+    if sig_path.exists():
+        sig = read_signal_binary(sig_path)
+    else:
+        raw = synthesize(params, dt=0.01, rng=stream(seed, "signal", i))
+        sig = highpass_correct(raw)
+        write_signal_binary(sig_path, sig)
+    lin_disp = float(np.max(np.abs(solve_linear(sig, structure).samples)))
+    return [i, *extract(sig, params.as_vector(), lin_disp).as_array().tolist()]
+
+
 def cmd_generate(cfg: RunConfig) -> Path:
     """Sample parameters, synthesize the pool, extract features.
 
@@ -166,7 +184,8 @@ def cmd_generate(cfg: RunConfig) -> Path:
     An out_dir whose pool was generated with another seed, pool_size or
     batch_size is refused: its signals and part files belong to that pool.
     So is one holding signals or part files of another synthesis version, or
-    of none recorded: resuming it would mix signals of two versions.
+    of none recorded: resuming it would mix signals of two versions. The
+    signals of a batch are shared out over the cores (see `run_shared`).
     """
     out = Path(cfg.out_dir)
     config_path = out / "config.txt"
@@ -188,7 +207,6 @@ def cmd_generate(cfg: RunConfig) -> Path:
     write_ensemble_csv(out / "ensemble.csv", ensemble)
     kde_model = kristan_bandwidth(ensemble)
     save_kde_csv(out / "kde_model.csv", kde_model)
-    structure = cfg.structure
 
     columns = ["id", *FEATURE_NAMES]
     n_batches = (cfg.pool_size + cfg.batch_size - 1) // cfg.batch_size
@@ -197,19 +215,10 @@ def cmd_generate(cfg: RunConfig) -> Path:
         part = out / f"features_{cfg.preset}_part{b:04d}.csv"
         done = read_table(part) if part.exists() else None
         if done is None or done.columns != columns:
-            batch = []
-            for i in range(b * cfg.batch_size, min((b + 1) * cfg.batch_size, cfg.pool_size)):
-                params = sample_theta(kde_model, stream(cfg.seed, "theta", i))
-                sig_path = _signal_path(out, i)
-                if sig_path.exists():
-                    sig = read_signal_binary(sig_path)
-                else:
-                    raw = synthesize(params, dt=0.01, rng=stream(cfg.seed, "signal", i))
-                    sig = highpass_correct(raw)
-                    write_signal_binary(sig_path, sig)
-                lin_disp = float(np.max(np.abs(solve_linear(sig, structure).samples)))
-                batch.append([i, *extract(sig, params.as_vector(), lin_disp).as_array()])
-            write_table(part, columns, batch)
+            indices = range(b * cfg.batch_size, min((b + 1) * cfg.batch_size, cfg.pool_size))
+            write_table(part, columns, run_shared(
+                [partial(_feature_row, out, cfg.seed, kde_model, cfg.structure, i)
+                 for i in indices]))
             done = read_table(part)
         rows += done.rows
 

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .ground_motion import PARAM_NAMES, Signal
+from .ground_motion import PARAM_NAMES, Signal, cumulative_trapezoid, trapezoid
 
 FEATURE_NAMES = PARAM_NAMES + ("pga", "pgv", "pgd", "energy", "lin_disp")
 N_FEATURES = len(FEATURE_NAMES)  # 13
@@ -44,13 +43,13 @@ def extract(signal: Signal, theta, lin_disp: float) -> FeatureVector:
     if theta.size != 8:
         raise ValueError(f"theta must have 8 components, got {theta.size}")
     s = signal.samples
-    vel = cumulative_trapezoid(s, dx=signal.dt, initial=0.0)
-    disp = cumulative_trapezoid(vel, dx=signal.dt, initial=0.0)
+    vel = cumulative_trapezoid(s, signal.dt)
+    disp = cumulative_trapezoid(vel, signal.dt)
     return FeatureVector(
         theta=theta,
         pga=float(np.max(np.abs(s))),
         pgv=float(np.max(np.abs(vel))),
         pgd=float(np.max(np.abs(disp))),
-        energy=float(np.trapezoid(s**2, dx=signal.dt)),
+        energy=float(trapezoid(s**2, signal.dt)),
         lin_disp=float(lin_disp),
     )

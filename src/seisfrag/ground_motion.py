@@ -125,6 +125,20 @@ class Signal:
         return (self.samples.size - 1) * self.dt
 
 
+def cumulative_trapezoid(y: np.ndarray, gaps) -> np.ndarray:
+    """scipy's cumulative_trapezoid(y, x, initial=0.0) for gaps = np.diff(x)
+    (or the scalar dx), with the same operations in the same order."""
+    out = np.zeros(y.size)
+    np.cumsum(gaps * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return out
+
+
+def trapezoid(y: np.ndarray, gaps) -> float:
+    """np.trapezoid(y, x) for gaps = np.diff(x) (or the scalar dx), with the
+    same operations."""
+    return (gaps * (y[1:] + y[:-1]) / 2.0).sum()
+
+
 def modulating_q(t, m: ModulationParams):
     """Envelope value(s) at time t or on a non-decreasing 1-D grid t: 0,
     quadratic rise on (t0, t1], plateau on (t1, t2], then decay.

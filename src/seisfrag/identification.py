@@ -8,9 +8,7 @@ negative maxima over a candidate grid.
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -23,10 +21,13 @@ from .ground_motion import (
     GroundMotionParams,
     ModulationParams,
     Signal,
+    cumulative_trapezoid,
     modulating_q,
+    trapezoid,
     unit_variance_processes,
 )
 from .rng import stream
+from .runner import run_shared
 from .table import read_table, write_table
 
 ENERGY_ONSET_FRACTION = 1e-12
@@ -40,19 +41,6 @@ _MOD_START_PATTERNS = (
     (0.9, 1.5, 0.8, 1.3, 0.7),
 )
 _FREQ_START_PATTERNS = ((1.0, 1.0), (1.5, 0.7), (0.7, 1.5), (2.0, 1.0), (1.0, 2.0))
-
-
-def _cumulative_trapezoid(y: np.ndarray, gaps) -> np.ndarray:
-    """scipy's cumulative_trapezoid(y, x, initial=0.0) for gaps = np.diff(x)
-    (or the scalar dx), with the same operations in the same order."""
-    out = np.zeros(y.size)
-    np.cumsum(gaps * (y[1:] + y[:-1]) / 2.0, out=out[1:])
-    return out
-
-
-def _trapezoid(y: np.ndarray, gaps) -> float:
-    """np.trapezoid(y, x) for gaps = np.diff(x), with the same operations."""
-    return (gaps * (y[1:] + y[:-1]) / 2.0).sum()
 
 
 def count_upcrossings(samples: np.ndarray) -> np.ndarray:
@@ -90,7 +78,7 @@ class TargetRecord:
 
     @classmethod
     def from_signal(cls, sig: Signal) -> "TargetRecord":
-        energy = _cumulative_trapezoid(sig.samples**2, sig.dt)
+        energy = cumulative_trapezoid(sig.samples**2, sig.dt)
         return cls(
             signal=sig,
             cumulative_energy=energy,
@@ -210,8 +198,8 @@ def fit_modulation(record: TargetRecord, config: IdentificationConfig | None = N
     def objective(u):
         if (np.abs(u) > 50).any():
             return 1e30
-        e_s = _cumulative_trapezoid(modulating_q(t, unpack(u)) ** 2, gaps)
-        return float(_trapezoid((e_s - e_a) ** 2, gaps))
+        e_s = cumulative_trapezoid(modulating_q(t, unpack(u)) ** 2, gaps)
+        return float(trapezoid((e_s - e_a) ** 2, gaps))
 
     t15 = _quantile_time(t, e_a, 0.15)
     t85 = _quantile_time(t, e_a, 0.85)
@@ -320,7 +308,7 @@ def expected_upcrossing_count(
 ) -> np.ndarray:
     """N(t) = integral of rate * adjustment over [0, t], on the grid ts."""
     nu = _rate_at_times(ts, filt, config.quad_dt, ramp_duration)
-    counts = _cumulative_trapezoid(nu, np.diff(ts)) + nu[0] * ts[0]
+    counts = cumulative_trapezoid(nu, np.diff(ts)) + nu[0] * ts[0]
     return config.adjustment_factor * counts
 
 
@@ -343,7 +331,7 @@ def fit_filter_frequencies(
             return 1e30
         filt = FilterParams(omega0=math.exp(v[0]), omega_n=math.exp(v[1]), zeta_f=zeta_f)
         n_x = expected_upcrossing_count(ts, filt, config, duration)
-        return float(_trapezoid((n_x - n_a) ** 2, gaps))
+        return float(trapezoid((n_x - n_a) ** 2, gaps))
 
     # crossing slopes at both ends give frequency guesses (rate ~ omega / 2 pi)
     third = duration / 3.0
@@ -384,7 +372,7 @@ def _damping_candidate(record: TargetRecord, config: IdentificationConfig, gi: i
     for sim in sims:
         acc += count_irregular_extrema(sim)
     mean_counts = acc / config.sim_replicates
-    return freq_fit, float(_trapezoid((mean_counts - record.extrema_count) ** 2,
+    return freq_fit, float(trapezoid((mean_counts - record.extrema_count) ** 2,
                                       np.diff(record.times)))
 
 
@@ -407,7 +395,7 @@ def fit_damping(record: TargetRecord, config: IdentificationConfig | None = None
     config = config or IdentificationConfig()
     grid = tuple(sorted(config.damping_grid))
     if candidates is None:
-        candidates = _run_shared(_damping_tasks(record, config))
+        candidates = run_shared(_damping_tasks(record, config))
     best_idx, best_mismatch = -1, math.inf
     for gi, (_, mismatch) in enumerate(candidates):
         if mismatch < best_mismatch:
@@ -420,11 +408,11 @@ def identify(record: TargetRecord, config: IdentificationConfig | None = None) -
     """Full identification: the envelope, and the damping with nested frequency fits.
 
     The envelope fit and the per-candidate damping work are independent, so
-    they run as one shared task list (see `_run_shared`).
+    they run as one shared task list (see `run_shared`).
     """
     config = config or IdentificationConfig()
-    mod_fit, *candidates = _run_shared([partial(fit_modulation, record, config),
-                                        *_damping_tasks(record, config)])
+    mod_fit, *candidates = run_shared([partial(fit_modulation, record, config),
+                                       *_damping_tasks(record, config)])
     damp_fit = fit_damping(record, config, candidates=candidates)
     params = GroundMotionParams(
         modulation=mod_fit.params,
@@ -437,96 +425,6 @@ def identify(record: TargetRecord, config: IdentificationConfig | None = None) -
     return IdentificationResult(
         params=params, converged=mod_fit.converged and damp_fit.frequency_fit.converged
     )
-
-
-# ---------------------------------------------------------------------------
-# independent fits on every core
-# ---------------------------------------------------------------------------
-
-
-def _drain(tasks: list, claim, stop) -> dict:
-    """Run the tasks whose indices claim() hands out until it passes the end;
-    an error calls stop() so that no further task starts, and propagates."""
-    done = {}
-    while (i := claim()) < len(tasks):
-        try:
-            done[i] = tasks[i]()
-        except BaseException:
-            stop()
-            raise
-    return done
-
-
-def _work(tasks: list, claim, stop, conn) -> None:
-    """Body of a forked worker: send back (results by index, error or None)."""
-    with conn:
-        try:
-            conn.send((_drain(tasks, claim, stop), None))
-        except Exception as exc:
-            conn.send(({}, exc))
-
-
-def _run_shared(tasks: list) -> list:
-    """Results of independent zero-argument tasks, in task order.
-
-    This process and one forked worker per spare core take task indices from
-    one shared counter, so no core waits on a fixed share of the list. This
-    process always takes tasks too: an interval timer the caller set fires
-    only here, since timers are not inherited across fork. On one core, where
-    the platform has no affinity mask, or in a daemonic process (which may
-    not have children), nothing is forked. The first error, here or in a
-    worker, stops the remaining tasks and is raised once every worker has
-    been joined.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    spare = min(cores, len(tasks)) - 1
-    if spare > 0:
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:
-            spare = 0
-    if spare < 1:
-        claim, stop = itertools.count().__next__, lambda: None
-    else:
-        ctx = multiprocessing.get_context("fork")
-        counter = ctx.Value("q", 0)
-
-        def claim() -> int:
-            with counter.get_lock():
-                counter.value += 1
-                return counter.value - 1
-
-        def stop() -> None:
-            with counter.get_lock():
-                counter.value = len(tasks)
-
-    procs, readers, errors, done = [], [], [], {}
-    try:
-        for _ in range(spare):
-            reader, writer = ctx.Pipe(duplex=False)
-            readers.append(reader)
-            with writer:  # closed here, so that a worker's exit reads as end of file
-                proc = ctx.Process(target=_work, args=(tasks, claim, stop, writer), daemon=True)
-                proc.start()
-            procs.append(proc)
-        done = _drain(tasks, claim, stop)
-    except BaseException as exc:
-        stop()
-        errors.append(exc)
-    for reader in readers:
-        with reader:
-            try:
-                part, error = reader.recv()
-            except EOFError:
-                part, error = {}, RuntimeError("an identification worker exited without results")
-        done.update(part)
-        if error is not None:
-            errors.append(error)
-    for proc in procs:
-        proc.join()
-    if errors:
-        raise errors[0]
-    return [done[i] for i in range(len(tasks))]
 
 
 # ---------------------------------------------------------------------------

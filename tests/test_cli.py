@@ -2,7 +2,10 @@
 
 import filecmp
 import logging
+import multiprocessing
+import os
 import shutil
+import time
 import warnings
 from pathlib import Path
 
@@ -39,8 +42,10 @@ from seisfrag.ground_motion import (
 from seisfrag.identification import IdentificationResult
 from seisfrag.learning import train_svm
 from seisfrag.oscillator import NonlinearPeaks
+from seisfrag.rng import stream_seed
 from seisfrag.table import read_table, write_table
 from test_oscillator import reference_solve
+from test_runner import cores, no_fork
 from test_tracing import _tracing
 
 # an overflow or an invalid value in a pipeline stage is a bug, not noise
@@ -195,6 +200,78 @@ class TestGenerate:
         (out / "config.txt").write_text("seed=3\npool_size=12\nbatch_size=5\n")
         cmd_generate(smoke_config(out, pool_size=12, batch_size=5))
         assert f"# synthesis_version={SYNTHESIS_VERSION}" in (out / "config.txt").read_text()
+
+
+class TestSharedGenerate:
+    """`generate` shares each batch's signals over the cores, byte for byte."""
+
+    POOL = dict(pool_size=12, batch_size=5)  # two full batches and a short one
+
+    def generated(self, out) -> dict:
+        """Every file but config.txt (which names out) after generate for the
+        5 Hz preset, then for the 10 Hz preset over the stored signals."""
+        for preset in ("5", "10"):
+            cmd_generate(smoke_config(out, **self.POOL, preset=preset))
+        assert not multiprocessing.active_children()
+        return {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file() and p.name != "config.txt"}
+
+    def one_core(self, out, monkeypatch) -> dict:
+        with monkeypatch.context() as mp:
+            cores(mp, 1)
+            mp.setattr(multiprocessing, "get_context", no_fork)
+            return self.generated(out)
+
+    @staticmethod
+    def two_cores(mp, marks):
+        """Two cores, with this process slowed so that a worker takes a share
+        of every batch; each process that runs a task leaves a file in marks."""
+        parent, row = os.getpid(), cli._feature_row
+
+        def marked(*args):
+            (marks / f"pid_{os.getpid()}").touch()
+            if os.getpid() == parent:
+                time.sleep(0.05)
+            return row(*args)
+
+        cores(mp, 2)
+        mp.setattr(cli, "_feature_row", marked)
+
+    def test_two_cores_and_one_core_give_the_same_bytes(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as mp:
+            self.two_cores(mp, tmp_path)
+            shared = self.generated(tmp_path / "shared")
+        assert len(list(tmp_path.glob("pid_*"))) > 1  # this process and a worker
+        alone = self.one_core(tmp_path / "alone", monkeypatch)
+        assert shared.keys() == alone.keys()
+        assert len([name for name in alone if name.startswith("signals/sig_")]) == 12
+        assert {f"features_{p}_part{b:04d}.csv" for p in ("5", "10") for b in range(3)} < alone.keys()
+        assert shared == alone
+
+    def test_error_in_a_worker_leaves_no_part_and_no_partial_file(self, tmp_path, monkeypatch):
+        """The worker fails synthesizing a signal of the second batch: that
+        batch and the rest get no part file, and a rerun completes the pool."""
+        parent = os.getpid()
+        late = {stream_seed(SMOKE["seed"], "signal", i) for i in range(5, 12)}
+
+        def cut(params, dt, rng):
+            if os.getpid() != parent and rng.bit_generator.seed_seq.entropy in late:
+                raise RuntimeError("synthesis cut short")
+            return synthesize(params, dt=dt, rng=rng)
+
+        out = tmp_path / "cut"
+        with monkeypatch.context() as mp:
+            self.two_cores(mp, tmp_path)
+            mp.setattr(cli, "synthesize", cut)
+            with pytest.raises(RuntimeError, match="^synthesis cut short$"):
+                cmd_generate(smoke_config(out, **self.POOL))
+        assert not multiprocessing.active_children()
+        assert sorted(p.name for p in out.glob("features_*")) == ["features_5_part0000.csv"]
+        assert not list(out.rglob("*.tmp"))
+        with monkeypatch.context() as mp:
+            cores(mp, 2)
+            resumed = self.generated(out)
+        assert resumed == self.one_core(tmp_path / "alone", monkeypatch)
 
 
 class TestLabels:

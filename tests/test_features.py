@@ -64,3 +64,18 @@ def test_theta_size_checked():
     sig = Signal(dt=0.01, samples=np.ones(10))
     with pytest.raises(ValueError):
         extract(sig, np.ones(5), lin_disp=0.1)
+
+
+def test_integrals_equal_the_library_forms_bit_for_bit():
+    """extract integrates with the trapezoid pair that identification uses;
+    on a signal grid it gives scipy's and numpy's values exactly."""
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(12)
+    sig = Signal(dt=0.01, samples=rng.standard_normal(2501))
+    fv = extract(sig, THETA, lin_disp=1.0)
+    vel = cumulative_trapezoid(sig.samples, dx=sig.dt, initial=0.0)
+    disp = cumulative_trapezoid(vel, dx=sig.dt, initial=0.0)
+    assert fv.pgv == float(np.max(np.abs(vel)))
+    assert fv.pgd == float(np.max(np.abs(disp)))
+    assert fv.energy == float(np.trapezoid(sig.samples**2, dx=sig.dt))

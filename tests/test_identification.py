@@ -2,12 +2,6 @@
 
 import math
 import multiprocessing
-import os
-import subprocess
-import sys
-import time
-from functools import partial
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,14 +17,12 @@ from seisfrag.ground_motion import (
     synthesize,
     unit_variance_process,
 )
-from seisfrag import identification
+from seisfrag import ground_motion, identification
 from seisfrag.identification import (
     FrequencyFit,
     IdentificationConfig,
     TargetRecord,
-    _cumulative_trapezoid,
     _rate_at_times,
-    _trapezoid,
     count_irregular_extrema,
     count_upcrossings,
     expected_upcrossing_count,
@@ -44,6 +36,7 @@ from seisfrag.identification import (
 )
 from seisfrag.oscillator import StructureConfig, response_spectrum
 from seisfrag.rng import stream
+from test_runner import cores, no_fork
 
 # the phasor recurrence must neither overflow nor produce invalid values
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -353,11 +346,12 @@ class TestArithmeticForms:
         x = np.sort(rng.uniform(0.0, 30.0, size))
         y = rng.standard_normal(size) ** 2
         gaps = np.diff(x)
-        assert np.array_equal(_cumulative_trapezoid(y, gaps),
+        assert np.array_equal(ground_motion.cumulative_trapezoid(y, gaps),
                               cumulative_trapezoid(y, x, initial=0.0))
-        assert np.array_equal(_cumulative_trapezoid(y, 0.01),
+        assert np.array_equal(ground_motion.cumulative_trapezoid(y, 0.01),
                               cumulative_trapezoid(y, dx=0.01, initial=0.0))
-        assert _trapezoid(y, gaps) == np.trapezoid(y, x)
+        assert ground_motion.trapezoid(y, gaps) == np.trapezoid(y, x)
+        assert ground_motion.trapezoid(y, 0.01) == np.trapezoid(y, dx=0.01)
 
     def test_record_energy_equals_scipy(self):
         sig = pseudo_record(5).signal
@@ -604,14 +598,6 @@ def serial_identify(record, config):
     return params, mod_fit.converged, tuple(mismatches)
 
 
-def cores(monkeypatch, n):
-    monkeypatch.setattr(identification.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def no_fork(*args, **kwargs):
-    raise AssertionError("a worker was started on one core")
-
-
 class TestSharedIdentification:
     """`identify` runs its envelope fit and damping candidates on every core."""
 
@@ -657,96 +643,6 @@ class TestSharedIdentification:
         with pytest.raises(ValueError, match="^record has fewer than 5 up-crossings$"):
             identify(TargetRecord.from_signal(sig))
         assert not multiprocessing.active_children()
-
-    def test_worker_error_is_raised_here_and_stops_the_rest(self, monkeypatch):
-        cores(monkeypatch, 2)
-        parent, ran = os.getpid(), []
-
-        def task():
-            if os.getpid() != parent:
-                raise KeyError("in the worker")
-            time.sleep(0.03)
-            ran.append(1)
-        tasks = [task] * 60
-        with pytest.raises(KeyError, match="in the worker"):
-            identification._run_shared(tasks)
-        assert len(ran) < 40
-        assert not multiprocessing.active_children()
-
-    def test_error_here_joins_the_worker(self, monkeypatch):
-        cores(monkeypatch, 2)
-        parent = os.getpid()
-
-        def task():
-            time.sleep(0.03)
-            if os.getpid() == parent:
-                raise OSError("in the caller")
-        with pytest.raises(OSError, match="in the caller"):
-            identification._run_shared([task] * 4)
-        assert not multiprocessing.active_children()
-
-    def test_worker_that_dies_is_reported(self, monkeypatch):
-        cores(monkeypatch, 2)
-        parent = os.getpid()
-
-        def task():
-            if os.getpid() != parent:
-                os._exit(3)
-            time.sleep(0.03)
-        with pytest.raises(RuntimeError, match="exited without results"):
-            identification._run_shared([task] * 20)
-        assert not multiprocessing.active_children()
-
-    @pytest.mark.parametrize("platform", ["one core", "no affinity mask"])
-    def test_nothing_is_forked(self, monkeypatch, platform):
-        if platform == "one core":
-            cores(monkeypatch, 1)
-        else:
-            monkeypatch.delattr(identification.os, "sched_getaffinity")
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        tasks = [lambda k=k: (os.getpid(), k) for k in range(4)]
-        assert identification._run_shared(tasks) == [(os.getpid(), k) for k in range(4)]
-
-    def test_daemonic_process_runs_the_tasks_itself(self, monkeypatch):
-        cores(monkeypatch, 2)
-        ctx = multiprocessing.get_context("fork")
-        reader, writer = ctx.Pipe(duplex=False)
-
-        def body():
-            tasks = [lambda k=k: (os.getpid(), k) for k in range(4)]
-            writer.send(identification._run_shared(tasks))
-        proc = ctx.Process(target=body, daemon=True)
-        with reader, writer:
-            proc.start()
-            assert reader.poll(60)
-            results = reader.recv()
-        proc.join(60)
-        assert proc.exitcode == 0
-        assert results == [(proc.pid, k) for k in range(4)]
-
-    def test_more_workers_than_cores_run_every_task_once_in_order(self, monkeypatch):
-        cores(monkeypatch, 4)
-        hits = multiprocessing.get_context("fork").Array("i", 400, lock=False)
-
-        def task(k):
-            hits[k] += 1
-            time.sleep(0.001)
-            return k, os.getpid()
-        results = identification._run_shared([partial(task, k) for k in range(len(hits))])
-        assert [k for k, _ in results] == list(range(len(hits)))
-        assert len({pid for _, pid in results}) > 1
-        assert list(hits) == [1] * len(hits)
-        assert not multiprocessing.active_children()
-
-    def test_importing_the_cli_leaves_multiprocessing_out(self):
-        code = "import sys, seisfrag.cli; print('multiprocessing' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in [str(Path(identification.__file__).parents[1]),
-                        os.environ.get("PYTHONPATH")] if p))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
-
 
 class TestParamsCsv:
     def test_round_trip(self, tmp_path):
