@@ -39,7 +39,8 @@ from .runner import run_shared
 from .table import atomic_write, read_table, write_table
 
 LEARN_SCHEDULE = (10, 20, 50, 100, 200, 500, 1000)
-FRAGILITY_SCHEDULE = (20, 50, 100, 200, 500, 1000)
+# fragility draws its curves from models learn stores at its own checkpoints
+FRAGILITY_SCHEDULE = LEARN_SCHEDULE[1:]
 PRODUCTION_MIN_POOL = 500
 # intensity measures the labels file repeats from the features file
 LABEL_MEASURES = ("pga", "pgv", "pgd", "energy", "lin_disp")
@@ -317,18 +318,25 @@ def _learn_dir(cfg: RunConfig, out: Path) -> Path:
     return out / f"learn_{cfg.preset}_{cfg.tag}"
 
 
-def _write_model_csv(path: Path, state, kept_ids, kernel: Kernel, cost: float) -> None:
-    meta = {"kernel": kernel.kind, "gamma": kernel.gamma, "cost": cost, "bias": state.model.bias}
-    if state.unconverged_solves:
+def _model_path(learn_dir: Path, run: int, n: int | None = None) -> Path:
+    """The run's final model, or the one it held at n labels."""
+    return learn_dir / (f"model_run{run:02d}.csv" if n is None else f"model_run{run:02d}_n{n}.csv")
+
+
+def _write_model_csv(path: Path, model: SvmModel, kept_ids, cost: float,
+                     unconverged_solves: int = 0) -> None:
+    meta = {"kernel": model.kernel.kind, "gamma": model.kernel.gamma, "cost": cost,
+            "bias": model.bias}
+    if unconverged_solves:
         # absent when 0: the benchmark's KKT test skips exactly the four meta lines above
-        meta["unconverged_solves"] = state.unconverged_solves
+        meta["unconverged_solves"] = unconverged_solves
     write_table(
         path,
         ["order", "pool_index", "signal_id", "label", "coefficient"],
         (
             [pos, idx, kept_ids[idx], lab, coef]
             for pos, (idx, lab, coef) in enumerate(
-                zip(state.labeled_indices, state.labels, state.model.coefficients)
+                zip(model.labeled_refs, model.labels, model.coefficients)
             )
         ),
         meta=meta,
@@ -344,6 +352,9 @@ def read_model_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
 
 
 def cmd_learn(cfg: RunConfig) -> Path:
+    """n_runs seeded active-learning runs: per run its history, its final
+    model and the models it held at the fragility checkpoints below the
+    final size, which fragility draws its curves from."""
     out = Path(cfg.out_dir)
     _require_current_synthesis(out)
     kept_ids, pool = _load_pool(cfg, out)
@@ -374,7 +385,12 @@ def cmd_learn(cfg: RunConfig) -> Path:
             ["n", "queried_id", "label", "prbp", *(f"w_{j}" for j in range(dim))],
             rows,
         )
-        _write_model_csv(learn_dir / f"model_run{run:02d}.csv", state, kept_ids, kernel, cfg.cost)
+        _write_model_csv(_model_path(learn_dir, run), state.model, kept_ids, cfg.cost,
+                         state.unconverged_solves)
+        for n in FRAGILITY_SCHEDULE:
+            if n < len(state.labeled_indices):
+                _write_model_csv(_model_path(learn_dir, run, n), state.checkpoints[n], kept_ids,
+                                 cfg.cost)
         if state.unconverged_solves:
             log.warning("%s run %02d: %d SMO solves stopped at the update cap",
                         learn_dir.name, run, state.unconverged_solves)
@@ -404,13 +420,24 @@ def _fragility_dir(cfg: RunConfig, out: Path) -> Path:
     return out / f"fragility_{cfg.preset}_{cfg.tag}"
 
 
-def _load_final_model(cfg: RunConfig, path: Path, features: np.ndarray) -> SvmModel:
-    """The final model learn stored, refused if written for another kernel or cost."""
+def _load_model(cfg: RunConfig, path: Path, features: np.ndarray,
+                final: SvmModel | None = None) -> SvmModel:
+    """A model learn stored, refused if missing or written for another kernel
+    or cost. Given its run's final model, a checkpoint is refused unless its
+    labeled sequence is a proper prefix of the final one, as learn writes it."""
+    if not path.exists():
+        raise FileNotFoundError(f"{path} is missing: rerun learn")
     indices, labels, coefficients, meta = read_model_csv(path)
     kernel = cfg.make_kernel()
     stored = (meta["kernel"], float(meta["gamma"] or 0), float(meta["cost"]))
     if stored != (kernel.kind, kernel.gamma or 0.0, cfg.cost):
         raise ValueError(f"{path}: (kernel, gamma, cost) {stored} differ from the config")
+    if final is not None:
+        n = labels.size
+        if not (n < final.labels.size and np.array_equal(indices, final.labeled_refs[:n])
+                and np.array_equal(labels, final.labels[:n])):
+            raise ValueError(f"{path}: labeled sequence is not a prefix of the run's final "
+                             "model: rerun learn")
     return SvmModel(
         support_x=features[indices],
         coefficients=coefficients,
@@ -423,23 +450,23 @@ def _load_final_model(cfg: RunConfig, path: Path, features: np.ndarray) -> SvmMo
 
 def cmd_fragility(cfg: RunConfig) -> Path:
     """Curves at each checkpoint of every run, from the kept pool that labels
-    stored and the models that learn stored: prefixes are retrained, the final
-    model loaded."""
+    stored and the models that learn stored: the model a run held at each
+    checkpoint, calibrated on its own labeled set. Only the RBF hybrid's
+    linear companion, which no artifact holds, is trained here."""
     out = Path(cfg.out_dir)
     _require_current_synthesis(out)
     _, pool = _load_pool(cfg, out)
     features, labels, pga, lin_disp = pool.features, pool.labels, pool.raw_pga, pool.raw_lin_disp
-    kernel = cfg.make_kernel()
     learn_dir = _learn_dir(cfg, out)
     frag_dir = _fragility_dir(cfg, out)
     frag_dir.mkdir(parents=True, exist_ok=True)
     schedule = tuple(n for n in FRAGILITY_SCHEDULE if n <= cfg.budget)
     linear_kernel = Kernel("linear")
 
-    def calibrated(model: SvmModel, sub_idx, sub_lab):
-        """Pool scores and their probabilities, calibrated on the labeled prefix."""
+    def calibrated(model: SvmModel):
+        """Pool scores and their probabilities, calibrated on the model's labeled set."""
         scores = model.score(features)
-        return scores, fit_logistic(scores[sub_idx], sub_lab).probability(scores)
+        return scores, fit_logistic(scores[model.labeled_refs], model.labels).probability(scores)
 
     report: list[str] = [
         f"pool.kept={len(labels)}",
@@ -450,31 +477,27 @@ def cmd_fragility(cfg: RunConfig) -> Path:
     fixed = {"pga": pga, "lin_disp": lin_disp}  # never change: binned once per command
     fixed_groups = {name: bin_by_projection(v, cfg.n_bins) for name, v in fixed.items()}
     for run in range(cfg.n_runs):
-        final = _load_final_model(cfg, learn_dir / f"model_run{run:02d}.csv", features)
-        indices, seq_labels = final.labeled_refs, final.labels
-        final_scores, final_probs = calibrated(final, indices, seq_labels)
+        final = _load_model(cfg, _model_path(learn_dir, run), features)
+        final_scores, final_probs = calibrated(final)
         final_curves = {}  # the final model's score curve per bin count
         for n in schedule:
-            sub_idx = indices[:n]
-            sub_lab = seq_labels[:n]
-            if len(set(sub_lab)) < 2:
-                continue
-            if n >= len(indices):  # the whole labeled set: the model learn saved
-                scores, probs = final_scores, final_probs
+            if n >= final.labels.size:  # the whole labeled set
+                model, scores, probs = final, final_scores, final_probs
             else:
-                model = train_svm(features[sub_idx], sub_lab, kernel, cfg.cost, refs=sub_idx)
-                scores, probs = calibrated(model, sub_idx, sub_lab)
+                model = _load_model(cfg, _model_path(learn_dir, run, n), features, final)
+                scores, probs = calibrated(model)
             groups = {"score": bin_by_projection(scores, cfg.n_bins), **fixed_groups}
             curves = {
                 name: curve(labels, probs, values, cfg.n_bins, name, groups[name])
                 for name, values in {"score": scores, **fixed}.items()
             }
-            if n >= len(indices):
+            if model is final:
                 final_curves[cfg.n_bins] = curves["score"]
 
-            if kernel.kind == "rbf":
-                lin_model = train_svm(features[sub_idx], sub_lab, linear_kernel, cfg.cost)
-                _, lin_probs = calibrated(lin_model, sub_idx, sub_lab)
+            if cfg.kernel == "rbf":
+                lin_model = train_svm(features[model.labeled_refs], model.labels, linear_kernel,
+                                      cfg.cost, refs=model.labeled_refs)
+                _, lin_probs = calibrated(lin_model)
                 hybrid = hybrid_probability(lin_probs, probs)
                 curves["hybrid"] = curve(labels, hybrid, scores, cfg.n_bins, "hybrid",
                                          groups["score"])
@@ -486,7 +509,7 @@ def cmd_fragility(cfg: RunConfig) -> Path:
                                for b in cv.bins)
 
         # labeled-set-only anti-pattern, reported with a warning banner
-        diag = labeled_only_diagnostic(pga[indices], seq_labels, cfg.n_bins)
+        diag = labeled_only_diagnostic(pga[final.labeled_refs], final.labels, cfg.n_bins)
         mean_bin_p = float(np.mean([b.p_ref for b in diag.bins]))
         report.append(f"run{run:02d}.labeled_only.mean_bin_probability={mean_bin_p:.17g}")
         report.append(

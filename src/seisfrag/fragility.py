@@ -247,9 +247,12 @@ def labeled_only_diagnostic(labeled_values, labeled_labels, n_bins: int) -> Frag
     An actively learned labeled set clusters near the decision boundary, so
     this curve hovers near 1/2 regardless of the true curve; it is emitted
     only for the report, with a warning. Its estimate is the labels
-    themselves, so each bin's p_est equals its p_ref.
+    themselves, so each bin's p_est equals its p_ref. The values are binned
+    in sorted order, so the curve depends on the labeled set, not on the
+    order in which it was queried.
     """
-    v = np.asarray(labeled_values, dtype=float)
-    y = np.asarray(labeled_labels, dtype=int)
+    order = np.argsort(labeled_values, kind="stable")
+    v = np.asarray(labeled_values, dtype=float)[order]
+    y = np.asarray(labeled_labels, dtype=int)[order]
     n_bins = min(n_bins, np.unique(v).size)
     return curve(y, y == 1, v, n_bins, "labeled_only_pga")

@@ -253,6 +253,7 @@ class ActiveState:
     labels: list
     model: SvmModel
     history: list = field(default_factory=list)
+    checkpoints: dict = field(default_factory=dict)  # eval_at size -> the model held there
     weight_trace: list = field(default_factory=list)  # W per iteration, linear kernel
     bias_trace: list = field(default_factory=list)  # bias per iteration, linear kernel
     unconverged_solves: int = 0  # incremental SMO solves that stopped at the update cap
@@ -351,8 +352,9 @@ def active_learn(
     """Uncertainty-sampling loop: train, score the rest, query argmin |score|.
 
     eval_at lists labeled-set sizes at which PRBP over the whole pool, against
-    its labels, is recorded. Ties in the query pick the smallest pool index.
-    Deterministic given the rng state.
+    its labels, is recorded; the model it is computed on is kept in
+    `checkpoints` under that size. Ties in the query pick the smallest pool
+    index. Deterministic given the rng state.
 
     Intermediate models come from warm-started solves of the growing dual;
     the final model is retrained from scratch so it is exactly what a refit
@@ -362,7 +364,11 @@ def active_learn(
         raise ValueError("budget must allow at least the two start points")
     eval_at = set(eval_at)
 
-    def evaluate(model: SvmModel) -> float:
+    def evaluate(model: SvmModel) -> float | None:
+        n = model.labels.size
+        if n not in eval_at:
+            return None
+        state.checkpoints[n] = model
         return prbp(model.score(pool.features), pool.labels)
 
     j1, j2 = select_start_points(pool, rng)
@@ -374,7 +380,7 @@ def active_learn(
     if kernel.kind == "linear":
         state.weight_trace.append(model.weights.copy())
         state.bias_trace.append(model.bias)
-    state.history.append(HistoryEntry(2, j2, labels[1], evaluate(model) if 2 in eval_at else None))
+    state.history.append(HistoryEntry(2, j2, labels[1], evaluate(model)))
 
     unlabeled = np.setdiff1d(np.arange(len(pool)), np.array(state.labeled_indices))
     while len(state.labeled_indices) < budget:
@@ -401,9 +407,7 @@ def active_learn(
         if kernel.kind == "linear":
             state.weight_trace.append(model.weights.copy())
             state.bias_trace.append(model.bias)
-        state.history.append(
-            HistoryEntry(n, int(pick), label, evaluate(model) if n in eval_at else None)
-        )
+        state.history.append(HistoryEntry(n, int(pick), label, evaluate(model)))
     state.unconverged_solves = trainer.unconverged_solves
     return state
 

@@ -16,7 +16,7 @@ from seisfrag import cli, fragility, learning
 from seisfrag import preprocess as prep
 from seisfrag.cli import (
     RunConfig,
-    _load_final_model,
+    _load_model,
     _load_pool,
     cmd_fragility,
     cmd_generate,
@@ -348,6 +348,39 @@ class TestLearn:
         assert len(set(indices)) == cfg.budget
         assert set(labels) == {-1, 1}
 
+    def test_checkpoint_models_are_the_fragility_sizes_below_the_final(self, pipeline_dir):
+        cfg, out = pipeline_dir  # budget 25: fragility reads n = 20, and the final model
+        names = sorted(p.name for p in (out / "learn_5_linear_r4").glob("model_run*.csv"))
+        assert names == [f"model_run{run:02d}{n}.csv"
+                         for run in range(cfg.n_runs) for n in ("", "_n20")]
+        # a checkpoint keeps exactly the final model's four meta lines
+        meta = read_model_csv(out / "learn_5_linear_r4" / "model_run00_n20.csv")[3]
+        assert list(meta) == ["kernel", "gamma", "cost", "bias"]
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_checkpoint_models_give_the_history_prbp(self, pipeline_dir, kernel):
+        cfg, out = pipeline_dir
+        cfg = smoke_config(out, kernel=kernel)
+        learn_dir = out / f"learn_5_{kernel}_r4"
+        if not learn_dir.exists():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                cmd_learn(cfg)
+        _, pool = _load_pool(cfg, out)
+        checked = 0
+        for run in range(cfg.n_runs):
+            history = read_table(learn_dir / f"history_run{run:02d}.csv").floats()
+            prbp_at = {int(row[0]): row[3] for row in history if not np.isnan(row[3])}
+            weights_at = {int(row[0]): row[4:] for row in history}
+            for path in learn_dir.glob(f"model_run{run:02d}_n*.csv"):
+                model = _load_model(cfg, path, pool.features)
+                n = model.labels.size
+                assert learning.prbp(model.score(pool.features), pool.labels) == prbp_at[n]
+                if kernel == "linear":  # the warm model the learner held, not a refit
+                    assert np.array_equal(model.weights, weights_at[n])
+                checked += 1
+        assert checked == cfg.n_runs
+
     def test_solves_stopped_at_the_cap_are_counted_and_logged(self, pipeline_dir, tmp_path,
                                                                 monkeypatch, caplog):
         _, out = pipeline_dir
@@ -500,7 +533,7 @@ class TestFragility:
         _, pool = _load_pool(cfg, out)
         for run in range(cfg.n_runs):
             path = learn_dir / f"model_run{run:02d}.csv"
-            loaded = _load_final_model(cfg, path, pool.features)
+            loaded = _load_model(cfg, path, pool.features)
             indices, labels, *_ = read_model_csv(path)
             retrained = train_svm(pool.features[indices], labels, cfg.make_kernel(), cfg.cost)
             assert np.array_equal(loaded.score(pool.features), retrained.score(pool.features))
@@ -519,6 +552,47 @@ class TestFragility:
         model_path.write_text(text.replace(old, new))
         with pytest.raises(ValueError, match="model_run01"):
             cmd_fragility(smoke_config(copy))
+
+    def test_refuses_missing_checkpoint_model(self, pipeline_dir, tmp_path):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)  # as a workspace learned before checkpoints were stored
+        (copy / "learn_5_linear_r4" / "model_run01_n20.csv").unlink()
+        with pytest.raises(FileNotFoundError, match=r"model_run01_n20\.csv is missing: rerun learn"):
+            cmd_fragility(smoke_config(copy))
+
+    def test_refuses_checkpoint_of_another_sequence(self, pipeline_dir, tmp_path):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)  # as one left by a learn of another config
+        learn_dir = copy / "learn_5_linear_r4"
+        shutil.copyfile(learn_dir / "model_run00_n20.csv", learn_dir / "model_run01_n20.csv")
+        with pytest.raises(ValueError, match=r"model_run01_n20\.csv: labeled sequence is not "
+                                             r"a prefix of the run's final model: rerun learn"):
+            cmd_fragility(smoke_config(copy))
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_no_retrain_of_the_config_kernel(self, pipeline_dir, tmp_path, monkeypatch, kernel):
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        cfg = smoke_config(copy, kernel=kernel)
+        if not (copy / f"learn_5_{kernel}_r4").exists():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                cmd_learn(cfg)
+        kinds = []
+        original = learning.train_svm
+
+        def counting(features, labels, kernel, *args, **kwargs):
+            kinds.append(kernel.kind)
+            return original(features, labels, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(learning, "train_svm", counting)
+        monkeypatch.setattr(cli, "train_svm", counting)
+        cmd_fragility(cfg)
+        # RBF trains only the hybrid's linear companion, once per run at n = 20
+        assert kinds == ([] if kernel == "linear" else ["linear"] * cfg.n_runs)
 
     def test_fragility_needs_only_labels_transformed_pool_and_models(self, pipeline_dir,
                                                                      tmp_path):

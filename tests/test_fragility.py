@@ -219,3 +219,12 @@ class TestLabeledOnlyDiagnostic:
         pool_rate = float(np.mean(mini_pool.labels == 1))
         assert 0.3 <= mean_bin_probability <= 0.7
         assert pool_rate < 0.2
+
+    def test_permuted_labeled_set_gives_the_same_curve(self, mini_pool):
+        pool = mini_pool.make_pool()
+        state = active_learn(pool, Kernel("linear"), 150, stream(77, "al"))
+        values, labels = pool.raw_pga[state.labeled_indices], np.array(state.labels)
+        diag = labeled_only_diagnostic(values, labels, 10)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(labels.size)
+            assert labeled_only_diagnostic(values[order], labels[order], 10) == diag
