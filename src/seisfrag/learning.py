@@ -56,6 +56,10 @@ def _smo(
     The loop updates crit = -y * grad in place, which equals the gradient
     update bit for bit (y = +-1) but for the sign of exact zeros, restored on
     exit; up/low membership is a 0 or -+inf penalty, set only where alpha moved.
+
+    k_matrix must be exactly symmetric, as every K built here is (a @ a.T,
+    RBF of it, or a mirrored row): the update reads the contiguous rows
+    K[i] and K[j] in place of the strided columns.
     """
     n = labels.size
     if alpha is None:
@@ -65,30 +69,32 @@ def _smo(
     hi = cost - 1e-12
     up_pen = np.where(np.where(y > 0, alpha < hi, alpha > 1e-12), 0.0, -np.inf)
     low_pen = np.where(np.where(y > 0, alpha > 1e-12, alpha < hi), 0.0, np.inf)
+    up_crit, low_crit, step = np.empty(n), np.empty(n), np.empty(n)
     alpha, ys, diag = alpha.tolist(), y.tolist(), k_matrix.diagonal().tolist()
     max_updates = max(200 * n, 20000)
 
     for _ in range(max_updates):
-        i = int(np.argmax(crit + up_pen))
-        j = int(np.argmin(crit + low_pen))
-        m_up, m_low = float(crit[i]), float(crit[j])
+        i = int(np.add(crit, up_pen, up_crit).argmax())
+        j = int(np.add(crit, low_pen, low_crit).argmin())
+        m_up, m_low = crit.item(i), crit.item(j)
         if m_up - m_low < tol:
             break
 
-        quad = diag[i] + diag[j] - 2.0 * float(k_matrix[i, j])
-        t = (m_up - m_low) / max(quad, 1e-12)
+        row_i, row_j = k_matrix[i], k_matrix[j]
+        quad = diag[i] + diag[j] - 2.0 * row_i.item(j)
+        t = (m_up - m_low) / (quad if quad >= 1e-12 else 1e-12)
         # box constraints along the feasible direction (+y_i e_i, -y_j e_j)
-        if ys[i] > 0:
-            t = min(t, cost - alpha[i])
-        else:
-            t = min(t, alpha[i])
-        if ys[j] > 0:
-            t = min(t, alpha[j])
-        else:
-            t = min(t, cost - alpha[j])
+        room = cost - alpha[i] if ys[i] > 0 else alpha[i]
+        if room < t:
+            t = room
+        room = alpha[j] if ys[j] > 0 else cost - alpha[j]
+        if room < t:
+            t = room
         alpha[i] += ys[i] * t
         alpha[j] -= ys[j] * t
-        crit -= t * (k_matrix[:, i] - k_matrix[:, j])
+        np.subtract(row_i, row_j, step)
+        step *= t
+        crit -= step
         for k in (i, j):
             pos, ak = ys[k] > 0, alpha[k]
             up_pen[k] = 0.0 if (ak < hi if pos else ak > 1e-12) else -np.inf
@@ -359,9 +365,16 @@ def active_learn(
     Intermediate models come from warm-started solves of the growing dual;
     the final model is retrained from scratch so it is exactly what a refit
     of the stored labeled set produces.
+
+    A linear query scores the unlabeled points by the primal X @ w. An RBF
+    query scores the whole pool from K(pool, labeled), kept as one column
+    per labeled point in query order (the model's support order), so each
+    query computes one new column instead of K(unlabeled, labeled).
     """
     if budget < 2:
         raise ValueError("budget must allow at least the two start points")
+    if budget > len(pool):
+        raise ValueError(f"budget {budget} exceeds the pool's {len(pool)} points")
     eval_at = set(eval_at)
 
     def evaluate(model: SvmModel) -> float | None:
@@ -382,16 +395,25 @@ def active_learn(
         state.bias_trace.append(model.bias)
     state.history.append(HistoryEntry(2, j2, labels[1], evaluate(model)))
 
-    unlabeled = np.setdiff1d(np.arange(len(pool)), np.array(state.labeled_indices))
-    while len(state.labeled_indices) < budget:
-        scores = model.score(pool.features[unlabeled])
-        pick = unlabeled[int(np.argmin(np.abs(scores)))]
+    if kernel.kind == "linear":
+        unlabeled = np.setdiff1d(np.arange(len(pool)), np.array(state.labeled_indices))
+    else:
+        k_cols = np.empty((len(pool), budget))
+        k_cols[:, :2] = kernel.matrix(pool.features, pool.features[labeled])
+    for n in range(3, budget + 1):  # the labeled-set size once this query is labeled
+        if kernel.kind == "linear":
+            scores = model.score(pool.features[unlabeled])
+            pick = int(unlabeled[int(np.argmin(np.abs(scores)))])
+            unlabeled = unlabeled[unlabeled != pick]
+        else:
+            margin = np.abs(k_cols[:, : n - 1] @ model.coefficients + model.bias)
+            margin[trainer.indices[: n - 1]] = np.inf  # ties still go to the smallest index
+            pick = int(margin.argmin())
+            k_cols[:, n - 1] = kernel.matrix(pool.features, pool.features[pick])[:, 0]
         label = int(pool.labels[pick])
-        state.labeled_indices.append(int(pick))
+        state.labeled_indices.append(pick)
         state.labels.append(label)
-        unlabeled = unlabeled[unlabeled != pick]
-        trainer.add(int(pick), label)
-        n = len(state.labeled_indices)
+        trainer.add(pick, label)
         if n == budget:
             # cold retrain: the stored model equals a refit of its labeled set
             model = train_svm(

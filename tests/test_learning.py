@@ -150,6 +150,32 @@ class TestSmoAgainstReference:
         assert trainer.model().converged is True
 
 
+class TestKernelSymmetry:
+    """_smo reads the rows K[i], K[j] in place of the columns, so every K it
+    gets must be exactly symmetric."""
+
+    @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.25)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [4, 13])
+    def test_kernel_matrix_is_exactly_symmetric(self, kernel, order, dim):
+        # cli._load_pool lays out the r4 view in F order
+        x = np.asarray(np.random.default_rng(dim).standard_normal((300, dim)), order=order)
+        k = kernel.matrix(x, x)
+        assert np.array_equal(k, k.T)
+
+    @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.5)])
+    def test_incremental_kernel_buffer_is_exactly_symmetric(self, kernel):
+        x, y = noisy_problem(6, 40)
+        x = np.asfortranarray(x)
+        first = [int(np.flatnonzero(y == -1)[0]), int(np.flatnonzero(y == 1)[0])]
+        trainer = learning._IncrementalSvm(x, kernel, 10.0, first, y[first], 40)
+        for i in [i for i in range(40) if i not in first][:25]:
+            trainer.add(i, int(y[i]))
+        k = trainer.k_buf[: trainer.n, : trainer.n]
+        assert trainer.n == 27
+        assert np.array_equal(k, k.T)
+
+
 class TestSvmCore:
     def test_two_point_margin_bisection(self):
         x_pos = np.array([2.0, 1.0])
@@ -348,6 +374,45 @@ class TestActiveLearning:
             unlabeled = np.setdiff1d(np.arange(len(pool)), labeled[:step])
             picked = labeled[step]
             assert abs(scores[picked]) <= np.min(np.abs(scores[unlabeled])) + 1e-12
+
+    def test_each_rbf_query_minimizes_absolute_score(self, mini_pool):
+        # the querying models are the checkpoints kept at every size
+        pool = mini_pool.make_pool()
+        budget = 30
+        state = active_learn(
+            pool, Kernel("rbf", gamma=0.25), budget=budget, rng=np.random.default_rng(2),
+            eval_at=range(2, budget),
+        )
+        labeled = state.labeled_indices
+        assert len(set(labeled)) == budget
+        for step in range(2, budget):
+            scores = np.abs(state.checkpoints[step].score(pool.features))
+            unlabeled = np.setdiff1d(np.arange(len(pool)), labeled[:step])
+            picked = labeled[step]
+            assert picked in unlabeled
+            assert scores[picked] <= np.min(scores[unlabeled]) + 1e-12
+
+    @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.5)])
+    def test_exact_tie_goes_to_the_smaller_pool_index(self, kernel):
+        # row 5 and its duplicate at the end always score alike, so which of
+        # them is queried first is decided by the tie rule alone
+        rng = np.random.default_rng(0)
+        x0 = rng.standard_normal(40)
+        x = np.column_stack([x0, x0 + 0.3 * rng.standard_normal(40)])
+        x = np.vstack([x, x[5]])
+        labels = np.where(x[:, 0] + x[:, 1] > 0.5, 1, -1)
+        pool = Pool(x, labels, x[:, 0], x[:, 1])
+        start = select_start_points(pool, np.random.default_rng(1))
+        assert not {5, 40} & set(start)
+        state = active_learn(pool, kernel, budget=len(pool), rng=np.random.default_rng(1))
+        assert sorted(state.labeled_indices) == list(range(len(pool)))
+        assert state.labeled_indices.index(5) < state.labeled_indices.index(40)
+
+    def test_budget_beyond_the_pool_is_refused(self, mini_pool):
+        pool = mini_pool.make_pool()
+        budget = len(pool) + 1
+        with pytest.raises(ValueError, match=f"budget {budget} exceeds the pool's {len(pool)}"):
+            active_learn(pool, Kernel("rbf", gamma=0.25), budget, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self, mini_pool):
         pool_a = mini_pool.make_pool()
