@@ -375,8 +375,8 @@ def cmd_learn(cfg: RunConfig) -> Path:
             eval_at=schedule,
         )
         rows = []
-        for k, entry in enumerate(state.history):
-            w = state.weight_trace[k] if state.weight_trace else [float("nan")] * dim
+        for entry in state.history:
+            w = [float("nan")] * dim if entry.weights is None else entry.weights
             rows.append([entry.n_labeled, kept_ids[entry.queried], entry.label, entry.prbp, *w])
             if entry.prbp is not None:
                 per_run_prbp[entry.n_labeled].append(entry.prbp)

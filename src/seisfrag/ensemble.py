@@ -44,17 +44,17 @@ def _pareto_truncated(u: np.ndarray, lo: float, hi: float, kappa: float) -> np.n
     return lo * (1.0 - u * norm) ** (-1.0 / kappa)
 
 
-def make_reference_ensemble(size: int = ENSEMBLE_SIZE, seed: int = BUILD_SEED) -> np.ndarray:
-    """Draw the ensemble from the documented ranges; deterministic given seed."""
-    rng = stream(seed, "pseudo-records")
-    t1 = rng.uniform(*RAMP_END, size)
-    t2 = t1 + rng.uniform(*PLATEAU, size)
-    alpha2 = rng.uniform(*DECAY_RATE, size)
-    alpha3 = rng.uniform(*DECAY_EXPONENT, size)
-    f0 = rng.uniform(*START_FREQ_HZ, size)
+def make_reference_ensemble() -> np.ndarray:
+    """Draw the ensemble from the documented ranges; deterministic given BUILD_SEED."""
+    rng = stream(BUILD_SEED, "pseudo-records")
+    t1 = rng.uniform(*RAMP_END, ENSEMBLE_SIZE)
+    t2 = t1 + rng.uniform(*PLATEAU, ENSEMBLE_SIZE)
+    alpha2 = rng.uniform(*DECAY_RATE, ENSEMBLE_SIZE)
+    alpha3 = rng.uniform(*DECAY_EXPONENT, ENSEMBLE_SIZE)
+    f0 = rng.uniform(*START_FREQ_HZ, ENSEMBLE_SIZE)
     fn = rng.uniform(MIN_END_FREQ_HZ, np.minimum(f0, MAX_END_FREQ_HZ))
-    zeta = rng.uniform(*DAMPING, size)
-    alpha1 = _pareto_truncated(rng.random(size), AMP_LO, AMP_HI, AMP_KAPPA)
+    zeta = rng.uniform(*DAMPING, ENSEMBLE_SIZE)
+    alpha1 = _pareto_truncated(rng.random(ENSEMBLE_SIZE), AMP_LO, AMP_HI, AMP_KAPPA)
     theta = np.column_stack(
         [alpha1, alpha2, alpha3, t1, t2, 2 * np.pi * f0, 2 * np.pi * fn, zeta]
     )

@@ -18,6 +18,9 @@ from .rng import stream
 SLOPE_CAP = 1e3
 DEFAULT_BINS = 20
 _KMEANS_SEED = 20240  # fixed seeding stream for reproducible binning
+_KMEANS_MAX_ITER = 300
+_NEWTON_TOL = 1e-6  # gradient norm that ends the calibration's Newton iterations
+_NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -37,11 +40,13 @@ def _log_likelihood(eta: np.ndarray, y01: np.ndarray) -> float:
     return float(np.sum(y01 * eta - np.logaddexp(0.0, eta)))
 
 
-def fit_logistic(scores, labels, tol: float = 1e-6, max_iter: int = 200) -> LogisticCalibration:
+def fit_logistic(scores, labels) -> LogisticCalibration:
     """Maximum-likelihood logistic calibration by damped Newton iterations.
 
     Perfect separation drives the slope to infinity; it is capped at 1e3 and
-    flagged, with the intercept refitted at the capped slope.
+    flagged, with the intercept refitted at the capped slope. For separated
+    scores that refit starts at the point of the gap between the classes
+    nearest 0, where the likelihood is not yet flat.
     """
     f = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -49,17 +54,20 @@ def fit_logistic(scores, labels, tol: float = 1e-6, max_iter: int = 200) -> Logi
         raise ValueError("calibration needs both classes")
     y01 = (y == 1).astype(float)
 
-    if np.max(f[y == -1]) < np.min(f[y == 1]):
+    top_negative, bottom_positive = np.max(f[y == -1]), np.min(f[y == 1])
+    if top_negative < bottom_positive:
         # perfectly separated scores: the MLE slope diverges
         a = SLOPE_CAP
-        return LogisticCalibration(slope=a, intercept=_refit_intercept(f, y01, a), separated=True)
+        b = float(np.clip(0.0, a * top_negative, a * bottom_positive))
+        return LogisticCalibration(slope=a, intercept=_refit_intercept(f, y01, a, b),
+                                   separated=True)
 
     a, b = 1.0, 0.0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         eta = a * f - b
         p = 1.0 / (1.0 + np.exp(np.clip(-eta, -500, 500)))
         grad = np.array([np.sum((y01 - p) * f), -np.sum(y01 - p)])
-        if np.linalg.norm(grad) < tol:
+        if np.linalg.norm(grad) < _NEWTON_TOL:
             break
         w = np.maximum(p * (1.0 - p), 1e-12)
         h_aa = np.sum(w * f * f)
@@ -80,20 +88,20 @@ def fit_logistic(scores, labels, tol: float = 1e-6, max_iter: int = 200) -> Logi
         a, b = a + damp * step[0], b + damp * step[1]
         if abs(a) >= SLOPE_CAP:
             a = math.copysign(SLOPE_CAP, a)
-            b = _refit_intercept(f, y01, a)
+            b = _refit_intercept(f, y01, a, b)
             return LogisticCalibration(slope=a, intercept=b, separated=True)
     return LogisticCalibration(slope=float(a), intercept=float(b))
 
 
-def _refit_intercept(f: np.ndarray, y01: np.ndarray, a: float) -> float:
-    b = 0.0
+def _refit_intercept(f: np.ndarray, y01: np.ndarray, a: float, b: float) -> float:
+    """Maximum-likelihood intercept at the fixed slope a, by Newton ascent from b."""
     for _ in range(100):
         eta = a * f - b
         p = 1.0 / (1.0 + np.exp(np.clip(-eta, -500, 500)))
-        grad = -np.sum(y01 - p)
-        hess = np.sum(np.maximum(p * (1 - p), 1e-12))
+        grad = -np.sum(y01 - p)  # d loglik / d b
+        hess = np.sum(np.maximum(p * (1 - p), 1e-12))  # - d2 loglik / d b2
         step = grad / hess
-        b -= step
+        b += step
         if abs(step) < 1e-9:
             break
     return float(b)
@@ -104,7 +112,7 @@ def _refit_intercept(f: np.ndarray, y01: np.ndarray, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bin_by_projection(values, n_bins: int, max_iter: int = 300) -> list[np.ndarray]:
+def bin_by_projection(values, n_bins: int) -> list[np.ndarray]:
     """Lloyd's algorithm on 1-D values with k-means++ seeding, fixed seed.
 
     Returns index groups sorted by center; in one dimension the groups are
@@ -130,7 +138,7 @@ def bin_by_projection(values, n_bins: int, max_iter: int = 300) -> list[np.ndarr
         d2 = np.minimum(d2, (v - centers[k]) ** 2)
 
     assign = None
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         new_assign = np.argmin(np.abs(v[:, None] - centers[None, :]), axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break

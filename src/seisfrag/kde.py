@@ -22,27 +22,6 @@ MAX_REJECTIONS = 1000
 
 
 @dataclass(frozen=True)
-class ParameterEnsemble:
-    """Identified parameter vectors, one row per record."""
-
-    points: np.ndarray  # (count, dim)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "points", pts)
-        if pts.shape[0] < 2:
-            raise ValueError("an ensemble needs at least two points")
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True)
 class KdeModel:
     points: np.ndarray  # (n, d) kernel centers
     covariance: np.ndarray  # empirical covariance of the centers
@@ -101,9 +80,7 @@ def curvature_functional(pts: np.ndarray, cov: np.ndarray) -> float:
 
 def kristan_bandwidth(ensemble) -> KdeModel:
     """Build the KDE model: empirical covariance shape, plug-in scale."""
-    pts = ensemble.points if isinstance(ensemble, ParameterEnsemble) else np.atleast_2d(
-        np.asarray(ensemble, dtype=float)
-    )
+    pts = np.atleast_2d(np.asarray(ensemble, dtype=float))
     n, d = pts.shape
     if n < 2:
         raise ValueError("bandwidth estimation needs at least two points")

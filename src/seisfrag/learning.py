@@ -143,7 +143,6 @@ def train_svm(
     labels,
     kernel: Kernel,
     cost: float = DEFAULT_COST,
-    tol: float = KKT_TOL,
     refs: np.ndarray | None = None,
 ) -> SvmModel:
     """Soft-margin SVM on the labeled points; both classes must be present."""
@@ -157,7 +156,7 @@ def train_svm(
         raise ValueError("labels must be -1 or +1")
 
     k_matrix = kernel.matrix(x, x)
-    alpha, bias, converged, _ = _smo(k_matrix, y, cost, tol)
+    alpha, bias, converged, _ = _smo(k_matrix, y, cost, KKT_TOL)
     if refs is None:
         refs = np.arange(y.size)
     return SvmModel(
@@ -251,6 +250,7 @@ class HistoryEntry:
     queried: int  # pool index queried to reach n_labeled
     label: int
     prbp: float | None = None
+    weights: np.ndarray | None = None  # the linear model's w at n_labeled; None for RBF
 
 
 @dataclass
@@ -260,8 +260,6 @@ class ActiveState:
     model: SvmModel
     history: list = field(default_factory=list)
     checkpoints: dict = field(default_factory=dict)  # eval_at size -> the model held there
-    weight_trace: list = field(default_factory=list)  # W per iteration, linear kernel
-    bias_trace: list = field(default_factory=list)  # bias per iteration, linear kernel
     unconverged_solves: int = 0  # incremental SMO solves that stopped at the update cap
 
 
@@ -355,21 +353,23 @@ def active_learn(
     cost: float = DEFAULT_COST,
     eval_at: tuple = (),
 ) -> ActiveState:
-    """Uncertainty-sampling loop: train, score the rest, query argmin |score|.
+    """Uncertainty-sampling loop: train, score the pool, query argmin |score|.
 
-    eval_at lists labeled-set sizes at which PRBP over the whole pool, against
-    its labels, is recorded; the model it is computed on is kept in
-    `checkpoints` under that size. Ties in the query pick the smallest pool
-    index. Deterministic given the rng state.
+    One step per labeled-set size n = 2..budget: label the previous pick,
+    take the model, score the whole pool once, then record PRBP (at the
+    eval_at sizes, against the pool's labels, keeping the model in
+    `checkpoints` under n) and query the unlabeled point of smallest
+    |score|. Ties in the query pick the smallest pool index. Deterministic
+    given the rng state.
 
     Intermediate models come from warm-started solves of the growing dual;
     the final model is retrained from scratch so it is exactly what a refit
     of the stored labeled set produces.
 
-    A linear query scores the unlabeled points by the primal X @ w. An RBF
-    query scores the whole pool from K(pool, labeled), kept as one column
-    per labeled point in query order (the model's support order), so each
-    query computes one new column instead of K(unlabeled, labeled).
+    A linear step scores the pool by the primal X @ w + b, as
+    `SvmModel.score` does. An RBF step scores it from K(pool, labeled), kept
+    as one column per labeled point in query order (the model's support
+    order), so each step computes one new column.
     """
     if budget < 2:
         raise ValueError("budget must allow at least the two start points")
@@ -377,65 +377,40 @@ def active_learn(
         raise ValueError(f"budget {budget} exceeds the pool's {len(pool)} points")
     eval_at = set(eval_at)
 
-    def evaluate(model: SvmModel) -> float | None:
-        n = model.labels.size
-        if n not in eval_at:
-            return None
-        state.checkpoints[n] = model
-        return prbp(model.score(pool.features), pool.labels)
-
     j1, j2 = select_start_points(pool, rng)
     labeled = [j1, j2]
     labels = [int(pool.labels[j1]), int(pool.labels[j2])]
     state = ActiveState(labeled_indices=labeled, labels=labels, model=None)
     trainer = _IncrementalSvm(pool.features, kernel, cost, labeled, labels, budget)
-    state.model = model = trainer.model()
-    if kernel.kind == "linear":
-        state.weight_trace.append(model.weights.copy())
-        state.bias_trace.append(model.bias)
-    state.history.append(HistoryEntry(2, j2, labels[1], evaluate(model)))
-
-    if kernel.kind == "linear":
-        unlabeled = np.setdiff1d(np.arange(len(pool)), np.array(state.labeled_indices))
-    else:
+    if kernel.kind == "rbf":
         k_cols = np.empty((len(pool), budget))
         k_cols[:, :2] = kernel.matrix(pool.features, pool.features[labeled])
-    for n in range(3, budget + 1):  # the labeled-set size once this query is labeled
-        if kernel.kind == "linear":
-            scores = model.score(pool.features[unlabeled])
-            pick = int(unlabeled[int(np.argmin(np.abs(scores)))])
-            unlabeled = unlabeled[unlabeled != pick]
-        else:
-            margin = np.abs(k_cols[:, : n - 1] @ model.coefficients + model.bias)
-            margin[trainer.indices[: n - 1]] = np.inf  # ties still go to the smallest index
-            pick = int(margin.argmin())
-            k_cols[:, n - 1] = kernel.matrix(pool.features, pool.features[pick])[:, 0]
-        label = int(pool.labels[pick])
-        state.labeled_indices.append(pick)
-        state.labels.append(label)
-        trainer.add(pick, label)
+    pick = j2
+    for n in range(2, budget + 1):  # the labeled-set size once pick is labeled
+        if n > 2:
+            labeled.append(pick)
+            labels.append(int(pool.labels[pick]))
+            trainer.add(pick, labels[-1])
+            if kernel.kind == "rbf":
+                k_cols[:, n - 1] = kernel.matrix(pool.features, pool.features[pick])[:, 0]
         if n == budget:
             # cold retrain: the stored model equals a refit of its labeled set
-            model = train_svm(
-                pool.features[state.labeled_indices],
-                state.labels,
-                kernel,
-                cost,
-                refs=np.array(state.labeled_indices),
-            )
+            model = train_svm(pool.features[labeled], labels, kernel, cost, refs=np.array(labeled))
         else:
             model = trainer.model()
         state.model = model
         if kernel.kind == "linear":
-            state.weight_trace.append(model.weights.copy())
-            state.bias_trace.append(model.bias)
-        state.history.append(HistoryEntry(n, int(pick), label, evaluate(model)))
+            scores = pool.features @ model.weights + model.bias
+        else:
+            scores = k_cols[:, :n] @ model.coefficients + model.bias
+        value = None
+        if n in eval_at:
+            state.checkpoints[n] = model
+            value = prbp(scores, pool.labels)
+        state.history.append(HistoryEntry(n, pick, labels[-1], value, model.weights))
+        if n < budget:
+            margin = np.abs(scores)
+            margin[labeled] = np.inf  # ties still go to the smallest index
+            pick = int(margin.argmin())
     state.unconverged_solves = trainer.unconverged_solves
     return state
-
-
-def weight_trace(state: ActiveState) -> np.ndarray:
-    """Per-iteration linear weights, one row per trained model."""
-    if not state.weight_trace:
-        raise ValueError("weight trace requires a linear-kernel run")
-    return np.vstack(state.weight_trace)

@@ -62,7 +62,7 @@ def _loglik(logs: np.ndarray, log_sum: float, delta: float) -> float:
     return -0.5 * logs.size * np.log(var) + (delta - 1.0) * log_sum
 
 
-def fit_boxcox_delta(column, bracket: tuple[float, float] = DELTA_BRACKET) -> float:
+def fit_boxcox_delta(column) -> float:
     """Exponent maximizing the profile log-likelihood, by golden-section search
     over the column's logs, taken once."""
     col = np.asarray(column, dtype=float)
@@ -72,7 +72,7 @@ def fit_boxcox_delta(column, bracket: tuple[float, float] = DELTA_BRACKET) -> fl
     logs = _logs(col)
     log_sum = float(np.sum(logs))
 
-    lo, hi = bracket
+    lo, hi = DELTA_BRACKET
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     f_c = _loglik(logs, log_sum, c)

