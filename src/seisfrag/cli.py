@@ -42,6 +42,10 @@ LEARN_SCHEDULE = (10, 20, 50, 100, 200, 500, 1000)
 # fragility draws its curves from models learn stores at its own checkpoints
 FRAGILITY_SCHEDULE = LEARN_SCHEDULE[1:]
 PRODUCTION_MIN_POOL = 500
+# learn and fragility share their runs over the cores from this budget on. A
+# run at budget 20 takes 5-10 ms, about what forking and joining a worker costs
+# (8 ms on a 2-core Xeon); from budget 50 on a run takes 14 ms or more.
+SHARED_MIN_BUDGET = 50
 # intensity measures the labels file repeats from the features file
 LABEL_MEASURES = ("pga", "pgv", "pgd", "energy", "lin_disp")
 LIN_DISP = FEATURE_NAMES.index("lin_disp")
@@ -351,54 +355,74 @@ def read_model_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     return indices, labels, np.ascontiguousarray(values[:, 4]), table.meta
 
 
+def _share_runs(cfg: RunConfig, run_task) -> list:
+    """run_task(run) for every run, in run order: over the cores through
+    `run_shared` from a budget of SHARED_MIN_BUDGET on, below it in this
+    process, where a run costs about what a fork and join does."""
+    tasks = [partial(run_task, run) for run in range(cfg.n_runs)]
+    return run_shared(tasks) if cfg.budget >= SHARED_MIN_BUDGET else [task() for task in tasks]
+
+
+def _learn_run(cfg: RunConfig, kept_ids, pool: Pool, learn_dir: Path, run: int):
+    """One active-learning run, which draws only from its own stream: writes
+    its history, final model and checkpoint models, and returns its (n, PRBP)
+    pairs and the count of its solves stopped at the update cap."""
+    schedule = tuple(n for n in LEARN_SCHEDULE if n <= cfg.budget)
+    state = active_learn(
+        pool,
+        cfg.make_kernel(),
+        budget=min(cfg.budget, len(pool)),
+        rng=stream(cfg.seed, "learn", run),
+        cost=cfg.cost,
+        eval_at=schedule,
+    )
+    columns = ["n", "queried_id", "label", "prbp"]
+    if cfg.kernel == "linear":  # the linear model's weights; an RBF model has none
+        columns += [f"w_{j}" for j in range(pool.features.shape[1])]
+    write_table(
+        learn_dir / f"history_run{run:02d}.csv",
+        columns,
+        ([e.n_labeled, kept_ids[e.queried], e.label, e.prbp,
+          *(() if e.weights is None else e.weights)] for e in state.history),
+    )
+    _write_model_csv(_model_path(learn_dir, run), state.model, kept_ids, cfg.cost,
+                     state.unconverged_solves)
+    for n in FRAGILITY_SCHEDULE:
+        if n < len(state.labeled_indices):
+            _write_model_csv(_model_path(learn_dir, run, n), state.checkpoints[n], kept_ids,
+                             cfg.cost)
+    prbps = [(e.n_labeled, e.prbp) for e in state.history if e.prbp is not None]
+    return prbps, state.unconverged_solves
+
+
 def cmd_learn(cfg: RunConfig) -> Path:
     """n_runs seeded active-learning runs: per run its history, its final
     model and the models it held at the fragility checkpoints below the
-    final size, which fragility draws its curves from."""
+    final size, which fragility draws its curves from.
+
+    Each run is one task (see `_share_runs`) that writes its own run's files;
+    the warnings of solves stopped at the update cap are logged here in run
+    order, then the summary over the runs and the baselines are written.
+    """
     out = Path(cfg.out_dir)
     _require_current_synthesis(out)
     kept_ids, pool = _load_pool(cfg, out)
-    kernel = cfg.make_kernel()
     learn_dir = _learn_dir(cfg, out)
     learn_dir.mkdir(parents=True, exist_ok=True)
-    schedule = tuple(n for n in LEARN_SCHEDULE if n <= cfg.budget)
-    dim = pool.features.shape[1]
 
-    per_run_prbp = {n: [] for n in schedule}
-    for run in range(cfg.n_runs):
-        state = active_learn(
-            pool,
-            kernel,
-            budget=min(cfg.budget, len(pool)),
-            rng=stream(cfg.seed, "learn", run),
-            cost=cfg.cost,
-            eval_at=schedule,
-        )
-        rows = []
-        for entry in state.history:
-            w = [float("nan")] * dim if entry.weights is None else entry.weights
-            rows.append([entry.n_labeled, kept_ids[entry.queried], entry.label, entry.prbp, *w])
-            if entry.prbp is not None:
-                per_run_prbp[entry.n_labeled].append(entry.prbp)
-        write_table(
-            learn_dir / f"history_run{run:02d}.csv",
-            ["n", "queried_id", "label", "prbp", *(f"w_{j}" for j in range(dim))],
-            rows,
-        )
-        _write_model_csv(_model_path(learn_dir, run), state.model, kept_ids, cfg.cost,
-                         state.unconverged_solves)
-        for n in FRAGILITY_SCHEDULE:
-            if n < len(state.labeled_indices):
-                _write_model_csv(_model_path(learn_dir, run, n), state.checkpoints[n], kept_ids,
-                                 cfg.cost)
-        if state.unconverged_solves:
+    per_run_prbp = {}  # n -> PRBP of every run, n in schedule order
+    results = _share_runs(cfg, partial(_learn_run, cfg, kept_ids, pool, learn_dir))
+    for run, (prbps, unconverged_solves) in enumerate(results):
+        for n, value in prbps:
+            per_run_prbp.setdefault(n, []).append(value)
+        if unconverged_solves:
             log.warning("%s run %02d: %d SMO solves stopped at the update cap",
-                        learn_dir.name, run, state.unconverged_solves)
+                        learn_dir.name, run, unconverged_solves)
 
     write_table(
         learn_dir / "summary.csv",
         ["n", "prbp_mean", "prbp_min", "prbp_max"],
-        ([n, np.mean(v), np.min(v), np.max(v)] for n, v in per_run_prbp.items() if v),
+        ([n, np.mean(v), np.min(v), np.max(v)] for n, v in per_run_prbp.items()),
     )
     write_table(
         learn_dir / "baselines.csv",
@@ -448,82 +472,97 @@ def _load_model(cfg: RunConfig, path: Path, features: np.ndarray,
     )
 
 
-def cmd_fragility(cfg: RunConfig) -> Path:
-    """Curves at each checkpoint of every run, from the kept pool that labels
-    stored and the models that learn stored: the model a run held at each
-    checkpoint, calibrated on its own labeled set. Only the RBF hybrid's
-    linear companion, which no artifact holds, is trained here."""
-    out = Path(cfg.out_dir)
-    _require_current_synthesis(out)
-    _, pool = _load_pool(cfg, out)
-    features, labels, pga, lin_disp = pool.features, pool.labels, pool.raw_pga, pool.raw_lin_disp
-    learn_dir = _learn_dir(cfg, out)
-    frag_dir = _fragility_dir(cfg, out)
-    frag_dir.mkdir(parents=True, exist_ok=True)
-    schedule = tuple(n for n in FRAGILITY_SCHEDULE if n <= cfg.budget)
-    linear_kernel = Kernel("linear")
+SENSITIVITY_BINS = (10, 20, 40)  # bin counts of the final score curve's delta_l2
+
+
+def _fragility_run(cfg: RunConfig, pool: Pool, fixed_groups: dict, learn_dir: Path, run: int):
+    """One run's curves at each checkpoint, from the models learn stored:
+    (report lines, curve rows, final score delta_l2 per sensitivity bin count)."""
+    features, labels, pga = pool.features, pool.labels, pool.raw_pga
+    fixed = {"pga": pga, "lin_disp": pool.raw_lin_disp}
 
     def calibrated(model: SvmModel):
         """Pool scores and their probabilities, calibrated on the model's labeled set."""
         scores = model.score(features)
         return scores, fit_logistic(scores[model.labeled_refs], model.labels).probability(scores)
 
-    report: list[str] = [
-        f"pool.kept={len(labels)}",
-        f"pool.positive_rate={np.mean(labels == 1):.17g}",
+    report, curve_rows = [], []
+    final = _load_model(cfg, _model_path(learn_dir, run), features)
+    final_scores, final_probs = calibrated(final)
+    final_curves = {}  # the final model's score curve per bin count
+    for n in (n for n in FRAGILITY_SCHEDULE if n <= cfg.budget):
+        if n >= final.labels.size:  # the whole labeled set
+            model, scores, probs = final, final_scores, final_probs
+        else:
+            model = _load_model(cfg, _model_path(learn_dir, run, n), features, final)
+            scores, probs = calibrated(model)
+        groups = {"score": bin_by_projection(scores, cfg.n_bins), **fixed_groups}
+        curves = {
+            name: curve(labels, probs, values, cfg.n_bins, name, groups[name])
+            for name, values in {"score": scores, **fixed}.items()
+        }
+        if model is final:
+            final_curves[cfg.n_bins] = curves["score"]
+
+        if cfg.kernel == "rbf":
+            lin_model = train_svm(features[model.labeled_refs], model.labels, Kernel("linear"),
+                                  cfg.cost, refs=model.labeled_refs)
+            _, lin_probs = calibrated(lin_model)
+            hybrid = hybrid_probability(lin_probs, probs)
+            curves["hybrid"] = curve(labels, hybrid, scores, cfg.n_bins, "hybrid",
+                                     groups["score"])
+
+        for name, cv in curves.items():
+            for metric in ("delta_l2", "entropy", "uncertain_fraction"):
+                report.append(f"run{run:02d}.n{n}.{name}.{metric}={getattr(cv, metric):.17g}")
+            curve_rows += ([run, n, name, b.center, b.count, b.p_ref, b.p_est] for b in cv.bins)
+
+    # labeled-set-only anti-pattern, reported with a warning banner
+    diag = labeled_only_diagnostic(pga[final.labeled_refs], final.labels, cfg.n_bins)
+    mean_bin_p = float(np.mean([b.p_ref for b in diag.bins]))
+    report.append(f"run{run:02d}.labeled_only.mean_bin_probability={mean_bin_p:.17g}")
+    report.append(
+        f"run{run:02d}.labeled_only.warning=labeled-set-only curve is biased by "
+        "active sampling; do not use as a fragility estimate"
+    )
+
+    for k_bins in SENSITIVITY_BINS:
+        if k_bins not in final_curves:
+            final_curves[k_bins] = curve(labels, final_probs, final_scores, k_bins, "score")
+    return report, curve_rows, {k_bins: final_curves[k_bins].delta_l2 for k_bins in SENSITIVITY_BINS}
+
+
+def cmd_fragility(cfg: RunConfig) -> Path:
+    """Curves at each checkpoint of every run, from the kept pool that labels
+    stored and the models that learn stored: the model a run held at each
+    checkpoint, calibrated on its own labeled set. Only the RBF hybrid's
+    linear companion, which no artifact holds, is trained here.
+
+    PGA and L never change, so they are binned once, here. Each run is then
+    one task (see `_share_runs`) that returns its report lines, curve rows
+    and sensitivity deltas, which are joined here in run order and written
+    once all runs are back.
+    """
+    out = Path(cfg.out_dir)
+    _require_current_synthesis(out)
+    _, pool = _load_pool(cfg, out)
+    frag_dir = _fragility_dir(cfg, out)
+    frag_dir.mkdir(parents=True, exist_ok=True)
+    fixed_groups = {name: bin_by_projection(values, cfg.n_bins)
+                    for name, values in (("pga", pool.raw_pga), ("lin_disp", pool.raw_lin_disp))}
+    results = _share_runs(cfg, partial(_fragility_run, cfg, pool, fixed_groups, _learn_dir(cfg, out)))
+
+    report = [
+        f"pool.kept={len(pool.labels)}",
+        f"pool.positive_rate={np.mean(pool.labels == 1):.17g}",
     ]
     curve_rows = []
-    sensitivity = {k_bins: [] for k_bins in (10, 20, 40)}  # final score delta_l2 per run
-    fixed = {"pga": pga, "lin_disp": lin_disp}  # never change: binned once per command
-    fixed_groups = {name: bin_by_projection(v, cfg.n_bins) for name, v in fixed.items()}
-    for run in range(cfg.n_runs):
-        final = _load_model(cfg, _model_path(learn_dir, run), features)
-        final_scores, final_probs = calibrated(final)
-        final_curves = {}  # the final model's score curve per bin count
-        for n in schedule:
-            if n >= final.labels.size:  # the whole labeled set
-                model, scores, probs = final, final_scores, final_probs
-            else:
-                model = _load_model(cfg, _model_path(learn_dir, run, n), features, final)
-                scores, probs = calibrated(model)
-            groups = {"score": bin_by_projection(scores, cfg.n_bins), **fixed_groups}
-            curves = {
-                name: curve(labels, probs, values, cfg.n_bins, name, groups[name])
-                for name, values in {"score": scores, **fixed}.items()
-            }
-            if model is final:
-                final_curves[cfg.n_bins] = curves["score"]
-
-            if cfg.kernel == "rbf":
-                lin_model = train_svm(features[model.labeled_refs], model.labels, linear_kernel,
-                                      cfg.cost, refs=model.labeled_refs)
-                _, lin_probs = calibrated(lin_model)
-                hybrid = hybrid_probability(lin_probs, probs)
-                curves["hybrid"] = curve(labels, hybrid, scores, cfg.n_bins, "hybrid",
-                                         groups["score"])
-
-            for name, cv in curves.items():
-                for metric in ("delta_l2", "entropy", "uncertain_fraction"):
-                    report.append(f"run{run:02d}.n{n}.{name}.{metric}={getattr(cv, metric):.17g}")
-                curve_rows += ([run, n, name, b.center, b.count, b.p_ref, b.p_est]
-                               for b in cv.bins)
-
-        # labeled-set-only anti-pattern, reported with a warning banner
-        diag = labeled_only_diagnostic(pga[final.labeled_refs], final.labels, cfg.n_bins)
-        mean_bin_p = float(np.mean([b.p_ref for b in diag.bins]))
-        report.append(f"run{run:02d}.labeled_only.mean_bin_probability={mean_bin_p:.17g}")
-        report.append(
-            f"run{run:02d}.labeled_only.warning=labeled-set-only curve is biased by "
-            "active sampling; do not use as a fragility estimate"
-        )
-
-        for k_bins, deltas in sensitivity.items():
-            if k_bins not in final_curves:
-                final_curves[k_bins] = curve(labels, final_probs, final_scores, k_bins, "score")
-            deltas.append(final_curves[k_bins].delta_l2)
-
+    for run_report, run_rows, _ in results:
+        report += run_report
+        curve_rows += run_rows
     # binning sensitivity at the final budget, averaged over runs
-    for k_bins, deltas in sensitivity.items():
+    for k_bins in SENSITIVITY_BINS:
+        deltas = [run_deltas[k_bins] for *_, run_deltas in results]
         report.append(f"sensitivity.k{k_bins}.score.delta_l2_mean={np.mean(deltas):.17g}")
 
     write_table(

@@ -111,6 +111,12 @@ def _smo(
     return np.array(alpha), (m_up + m_low) / 2.0, converged, grad
 
 
+def _expand(k_block: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """k_block @ coefficients summed by numpy's own loop: BLAS threads a large
+    product and its sum then depends on the thread count."""
+    return np.einsum("ij,j->i", k_block, coefficients)
+
+
 @dataclass(frozen=True)
 class SvmModel:
     """Kernel expansion f(x) = sum coef_k K(x_k, x) + bias, coef signed by label."""
@@ -134,7 +140,7 @@ class SvmModel:
         if self.weights is not None:
             out = x2 @ self.weights + self.bias
         else:
-            out = self.kernel.matrix(x2, self.support_x) @ self.coefficients + self.bias
+            out = _expand(self.kernel.matrix(x2, self.support_x), self.coefficients) + self.bias
         return float(out[0]) if single else out
 
 
@@ -402,7 +408,7 @@ def active_learn(
         if kernel.kind == "linear":
             scores = pool.features @ model.weights + model.bias
         else:
-            scores = k_cols[:, :n] @ model.coefficients + model.bias
+            scores = _expand(k_cols[:, :n], model.coefficients) + model.bias
         value = None
         if n in eval_at:
             state.checkpoints[n] = model

@@ -5,7 +5,8 @@ import logging
 import multiprocessing
 import os
 import shutil
-import time
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from seisfrag.oscillator import NonlinearPeaks
 from seisfrag.rng import stream_seed
 from seisfrag.table import read_table, write_table
 from test_oscillator import reference_solve
-from test_runner import cores, no_fork
+from test_runner import cores, no_fork, two_cores
 from test_tracing import _tracing
 
 SMOKE = dict(seed=3, pool_size=220, budget=25, n_runs=2, batch_size=100, n_bins=6)
@@ -219,24 +220,9 @@ class TestSharedGenerate:
             mp.setattr(multiprocessing, "get_context", no_fork)
             return self.generated(out)
 
-    @staticmethod
-    def two_cores(mp, marks):
-        """Two cores, with this process slowed so that a worker takes a share
-        of every batch; each process that runs a task leaves a file in marks."""
-        parent, row = os.getpid(), cli._feature_row
-
-        def marked(*args):
-            (marks / f"pid_{os.getpid()}").touch()
-            if os.getpid() == parent:
-                time.sleep(0.05)
-            return row(*args)
-
-        cores(mp, 2)
-        mp.setattr(cli, "_feature_row", marked)
-
     def test_two_cores_and_one_core_give_the_same_bytes(self, tmp_path, monkeypatch):
         with monkeypatch.context() as mp:
-            self.two_cores(mp, tmp_path)
+            two_cores(mp, tmp_path, cli, "_feature_row")
             shared = self.generated(tmp_path / "shared")
         assert len(list(tmp_path.glob("pid_*"))) > 1  # this process and a worker
         alone = self.one_core(tmp_path / "alone", monkeypatch)
@@ -258,7 +244,7 @@ class TestSharedGenerate:
 
         out = tmp_path / "cut"
         with monkeypatch.context() as mp:
-            self.two_cores(mp, tmp_path)
+            two_cores(mp, tmp_path, cli, "_feature_row")
             mp.setattr(cli, "synthesize", cut)
             with pytest.raises(RuntimeError, match="^synthesis cut short$"):
                 cmd_generate(smoke_config(out, **self.POOL))
@@ -344,6 +330,17 @@ class TestLearn:
         assert len(indices) == cfg.budget
         assert len(set(indices)) == cfg.budget
         assert set(labels) == {-1, 1}
+
+    @pytest.mark.parametrize("kernel, weights", [("linear", ",w_0,w_1,w_2,w_3"), ("rbf", "")])
+    def test_history_columns(self, pipeline_dir, tmp_path, kernel, weights):
+        """Only a linear history has weight columns: an RBF model has no w."""
+        cfg = smoke_config(learn_inputs(pipeline_dir[1], tmp_path / "ws"), kernel=kernel)
+        learn_dir = cmd_learn(cfg)
+        for run in range(cfg.n_runs):
+            lines = (learn_dir / f"history_run{run:02d}.csv").read_text().splitlines()
+            assert lines[0] == "n,queried_id,label,prbp" + weights
+            assert {line.count(",") for line in lines} == {lines[0].count(",")}
+            assert "nan" not in "".join(lines)
 
     def test_checkpoint_models_are_the_fragility_sizes_below_the_final(self, pipeline_dir):
         cfg, out = pipeline_dir  # budget 25: fragility reads n = 20, and the final model
@@ -691,6 +688,186 @@ class TestFragility:
         kept = read_labels_csv(out / "labels_5.csv")[0].size
         score_n25 = [l for l in lines if l.split(",")[:3] == ["0", "20", "score"]]
         assert sum(int(l.split(",")[4]) for l in score_n25) == kept
+
+
+def learn_inputs(out: Path, dest: Path) -> Path:
+    """A workspace holding only what learn and fragility read, from out."""
+    dest.mkdir(parents=True)
+    for name in ("config.txt", "labels_5.csv", "transformed_5_r4.csv"):
+        shutil.copyfile(out / name, dest / name)
+    return dest
+
+
+def run_files(out: Path, kernel: str) -> dict:
+    """Every file of the kernel's learn and fragility directories."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for d in (f"learn_5_{kernel}_r4", f"fragility_5_{kernel}_r4")
+            for p in sorted((out / d).iterdir())}
+
+
+class TestSharedRuns:
+    """From SHARED_MIN_BUDGET on, learn and fragility make one task of each
+    run, shared over the cores, byte for byte; below it nothing forks. The
+    gate is lowered here so that the smoke workspace takes the shared path."""
+
+    RUNS = 3
+
+    def learned(self, out: Path, kernel: str) -> dict:
+        cfg = smoke_config(out, kernel=kernel, n_runs=self.RUNS)
+        cmd_learn(cfg)
+        frag_dir = cmd_fragility(cfg)
+        assert not multiprocessing.active_children()
+        # the runs' lines and rows are joined in run order
+        report = (frag_dir / "report.txt").read_text().splitlines()
+        runs = [int(line[3:5]) for line in report if line.startswith("run")]
+        rows = [int(row[0]) for row in read_table(frag_dir / "curves.csv").rows]
+        assert runs == sorted(runs) and rows == sorted(rows)
+        assert set(runs) == set(rows) == set(range(self.RUNS))
+        return run_files(out, kernel)
+
+    def shared(self, mp, marks: Path) -> None:
+        """Two cores, the gate open, and a worker taking a share of the runs
+        of both commands; marks/learn and marks/fragility record who ran them."""
+        mp.setattr(cli, "SHARED_MIN_BUDGET", 2)
+        for command in ("learn", "fragility"):
+            (marks / command).mkdir(parents=True)
+            two_cores(mp, marks / command, cli, f"_{command}_run")
+
+    @staticmethod
+    def worker_ran(marks: Path, command: str) -> bool:
+        return any(int(p.name[4:]) != os.getpid() for p in (marks / command).glob("pid_*"))
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_two_cores_and_one_core_give_the_same_bytes(self, pipeline_dir, tmp_path,
+                                                        monkeypatch, kernel):
+        with monkeypatch.context() as mp:
+            self.shared(mp, tmp_path / "marks")
+            shared = self.learned(learn_inputs(pipeline_dir[1], tmp_path / "shared"), kernel)
+        assert self.worker_ran(tmp_path / "marks", "learn")
+        assert self.worker_ran(tmp_path / "marks", "fragility")
+        with monkeypatch.context() as mp:
+            cores(mp, 1)
+            mp.setattr(multiprocessing, "get_context", no_fork)
+            alone = self.learned(learn_inputs(pipeline_dir[1], tmp_path / "alone"), kernel)
+        assert len([name for name in alone if name.startswith(f"learn_5_{kernel}_r4/history")]) \
+            == self.RUNS
+        assert shared == alone
+
+    @pytest.mark.parametrize("command, written", [
+        ("learn", ("summary.csv", "baselines.csv")),
+        ("fragility", ("report.txt", "curves.csv")),
+    ])
+    def test_error_in_a_worker_is_raised_here_and_writes_no_summary(
+        self, pipeline_dir, tmp_path, monkeypatch, command, written
+    ):
+        out = learn_inputs(pipeline_dir[1], tmp_path / "cut")
+        cfg = smoke_config(out, n_runs=self.RUNS)
+        if command == "fragility":
+            cmd_learn(cfg)
+        parent, run = os.getpid(), getattr(cli, f"_{command}_run")
+
+        def cut(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("run cut short")
+            return run(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, f"_{command}_run", cut)
+            self.shared(mp, tmp_path / "marks")
+            with pytest.raises(RuntimeError, match="^run cut short$"):
+                getattr(cli, f"cmd_{command}")(cfg)
+        assert not multiprocessing.active_children()
+        assert self.worker_ran(tmp_path / "marks", command)
+        target = out / f"{command}_5_linear_r4"
+        assert not [name for name in written if (target / name).exists()]
+        assert not list(out.rglob("*.tmp"))
+        # the rerun writes what an uninterrupted run writes
+        assert self.learned(out, "linear") == self.learned(
+            learn_inputs(pipeline_dir[1], tmp_path / "whole"), "linear")
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_below_the_gate_nothing_forks(self, pipeline_dir, tmp_path, monkeypatch, kernel):
+        assert SMOKE["budget"] < cli.SHARED_MIN_BUDGET
+        cores(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        files = self.learned(learn_inputs(pipeline_dir[1], tmp_path / "ws"), kernel)
+        assert "fragility_5_" + kernel + "_r4/report.txt" in files
+
+    @pytest.mark.parametrize("gate, shared", [(SMOKE["budget"] + 1, False), (SMOKE["budget"], True)])
+    def test_runs_are_shared_from_the_gate_on(self, pipeline_dir, tmp_path, monkeypatch, gate,
+                                              shared):
+        monkeypatch.setattr(cli, "SHARED_MIN_BUDGET", gate)
+        batches = []
+
+        def recording(tasks):
+            batches.append(len(tasks))
+            return [task() for task in tasks]
+
+        monkeypatch.setattr(cli, "run_shared", recording)
+        self.learned(learn_inputs(pipeline_dir[1], tmp_path / "ws"), "linear")
+        assert batches == ([self.RUNS, self.RUNS] if shared else [])
+
+    def test_unconverged_solves_of_a_worker_run_reach_this_log(self, pipeline_dir, tmp_path,
+                                                               monkeypatch, caplog):
+        parent, calls = os.getpid(), []
+        original = learning._smo
+
+        def one_unconverged_in_a_worker(*args, **kwargs):
+            alpha, bias, converged, grad = original(*args, **kwargs)
+            if os.getpid() == parent:
+                return alpha, bias, converged, grad
+            calls.append(None)  # counts this worker's solves: its copy of the list
+            return alpha, bias, converged and len(calls) != 3, grad
+
+        out = learn_inputs(pipeline_dir[1], tmp_path / "ws")
+        with monkeypatch.context() as mp:
+            self.shared(mp, tmp_path / "marks")
+            mp.setattr(learning, "_smo", one_unconverged_in_a_worker)
+            with caplog.at_level(logging.WARNING, logger="seisfrag.cli"):
+                learn_dir = cmd_learn(smoke_config(out, n_runs=self.RUNS))
+        assert self.worker_ran(tmp_path / "marks", "learn")
+        flagged = [run for run in range(self.RUNS)
+                   if read_model_csv(cli._model_path(learn_dir, run))[3].get("unconverged_solves")]
+        assert len(flagged) == 1  # the first run the worker took
+        assert [r.getMessage() for r in caplog.records] == [
+            f"learn_5_linear_r4 run {flagged[0]:02d}: 1 SMO solves stopped at the update cap"
+        ]
+
+
+class TestBlasThreads:
+    """learn and fragility write the same bytes under one BLAS thread and two.
+
+    The pool has the benchmark desk's shape (125 kept, budget 100), whose
+    kept x budget is above OpenBLAS's generic threading threshold for a
+    matrix-vector product (2304 x 4 elements). Builds set their own: the
+    scipy-openblas 0.3.31 build threads one only from about 460 800 elements,
+    and there RBF scores moved with the thread count on the 5000-signal
+    acceptance workspace but not on any pool of test size."""
+
+    DESK = dict(seed=42, pool_size=400, budget=100, n_runs=2, n_bins=20, batch_size=500)
+
+    def test_one_and_two_blas_threads_give_the_same_bytes(self, tmp_path):
+        base = tmp_path / "base"
+        cfg = smoke_config(base, **self.DESK)
+        cmd_generate(cfg)
+        kept = read_labels_csv(cmd_labels(cfg))[0].size
+        assert kept * cfg.budget > 2304 * 4
+        src = str(Path(cli.__file__).parents[1])
+        files = {}
+        for threads in ("1", "2"):
+            out = learn_inputs(base, tmp_path / f"threads{threads}")
+            flags = [f"--{key}={value}" for key, value in self.DESK.items()]
+            commands = [[command, f"--out_dir={out}", f"--kernel={kernel}", *flags]
+                        for kernel in ("linear", "rbf") for command in ("learn", "fragility")]
+            code = ("import warnings; warnings.simplefilter('ignore'); "
+                    "from seisfrag.cli import main\n"
+                    f"for argv in {commands!r}: main(argv)")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in [src, os.environ.get("PYTHONPATH")] if p))
+            subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+            files[threads] = {**run_files(out, "linear"), **run_files(out, "rbf")}
+        assert len(files["1"]) == 2 * (2 * 4 + 2 + 2)  # per kernel: 2 runs x 4 + 2, and 2
+        assert files["1"] == files["2"]
 
 
 class TestReportAndDeterminism:

@@ -21,6 +21,22 @@ def no_fork(*args, **kwargs):
     raise AssertionError("a worker was started on one core")
 
 
+def two_cores(mp, marks: Path, owner, name: str) -> None:
+    """Two cores, with this process slowed so that a worker takes a share of
+    the tasks that call owner.name; each process that runs one leaves a file
+    pid_<pid> in marks."""
+    parent, task = os.getpid(), getattr(owner, name)
+
+    def marked(*args):
+        (marks / f"pid_{os.getpid()}").touch()
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        return task(*args)
+
+    cores(mp, 2)
+    mp.setattr(owner, name, marked)
+
+
 class TestRunShared:
     """Every task runs once, in whichever process claims it, and the results
     come back in task order."""
