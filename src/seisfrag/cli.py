@@ -409,6 +409,9 @@ def cmd_learn(cfg: RunConfig) -> Path:
     kept_ids, pool = _load_pool(cfg, out)
     learn_dir = _learn_dir(cfg, out)
     learn_dir.mkdir(parents=True, exist_ok=True)
+    # a run that fails leaves no summary of an earlier config next to its files
+    for name in ("summary.csv", "baselines.csv"):
+        (learn_dir / name).unlink(missing_ok=True)
 
     per_run_prbp = {}  # n -> PRBP of every run, n in schedule order
     results = _share_runs(cfg, partial(_learn_run, cfg, kept_ids, pool, learn_dir))
@@ -526,10 +529,12 @@ def _fragility_run(cfg: RunConfig, pool: Pool, fixed_groups: dict, learn_dir: Pa
         "active sampling; do not use as a fragility estimate"
     )
 
-    for k_bins in SENSITIVITY_BINS:
+    # a bin count above the final scores' distinct values cannot be filled
+    fillable = [k for k in SENSITIVITY_BINS if k <= np.unique(final_scores).size]
+    for k_bins in fillable:
         if k_bins not in final_curves:
             final_curves[k_bins] = curve(labels, final_probs, final_scores, k_bins, "score")
-    return report, curve_rows, {k_bins: final_curves[k_bins].delta_l2 for k_bins in SENSITIVITY_BINS}
+    return report, curve_rows, {k_bins: final_curves[k_bins].delta_l2 for k_bins in fillable}
 
 
 def cmd_fragility(cfg: RunConfig) -> Path:
@@ -548,6 +553,8 @@ def cmd_fragility(cfg: RunConfig) -> Path:
     _, pool = _load_pool(cfg, out)
     frag_dir = _fragility_dir(cfg, out)
     frag_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("report.txt", "curves.csv"):  # as in cmd_learn
+        (frag_dir / name).unlink(missing_ok=True)
     fixed_groups = {name: bin_by_projection(values, cfg.n_bins)
                     for name, values in (("pga", pool.raw_pga), ("lin_disp", pool.raw_lin_disp))}
     results = _share_runs(cfg, partial(_fragility_run, cfg, pool, fixed_groups, _learn_dir(cfg, out)))
@@ -562,7 +569,11 @@ def cmd_fragility(cfg: RunConfig) -> Path:
         curve_rows += run_rows
     # binning sensitivity at the final budget, averaged over runs
     for k_bins in SENSITIVITY_BINS:
-        deltas = [run_deltas[k_bins] for *_, run_deltas in results]
+        deltas = [run_deltas.get(k_bins) for *_, run_deltas in results]
+        if None in deltas:
+            log.warning("%s: sensitivity.k%d left out: a run's final scores have fewer "
+                        "than %d distinct values", frag_dir.name, k_bins, k_bins)
+            continue
         report.append(f"sensitivity.k{k_bins}.score.delta_l2_mean={np.mean(deltas):.17g}")
 
     write_table(

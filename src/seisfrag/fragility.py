@@ -8,6 +8,7 @@ ground-truth positive fraction.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,8 @@ _KMEANS_SEED = 20240  # fixed seeding stream for reproducible binning
 _KMEANS_MAX_ITER = 300
 _NEWTON_TOL = 1e-6  # gradient norm that ends the calibration's Newton iterations
 _NEWTON_MAX_ITER = 200
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,33 @@ def _refit_intercept(f: np.ndarray, y01: np.ndarray, a: float, b: float) -> floa
 # ---------------------------------------------------------------------------
 
 
+def _choice(rng: np.random.Generator, p: np.ndarray) -> int:
+    """An index drawn with probabilities p by the inverse of their cumulative
+    sum: the cumsum, normalization, one uniform and right-sided search that
+    `rng.choice(p.size, p=p)` performs, so the index and the stream position
+    are choice's, without its checks of p."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def bin_by_projection(values, n_bins: int) -> list[np.ndarray]:
     """Lloyd's algorithm on 1-D values with k-means++ seeding, fixed seed.
 
     Returns index groups sorted by center; in one dimension the groups are
     contiguous intervals of the sorted values.
+
+    Each center after the first is drawn by `_choice`, with probability
+    proportional to the squared distance to the nearest center so far.
+
+    Each Lloyd step groups the values once: a stable argsort of the
+    assignment lists every cluster's members in index order, and its cuts
+    into clusters come from searchsorted. A center is its members' sum over
+    their count, the sum and division `mean` does over the same members in
+    the same order, so the centers are bitwise those of a masked mean. An
+    empty cluster keeps its center and is left out of the result. A loop
+    stopped at _KMEANS_MAX_ITER short of a fixed point, and bins left empty,
+    are logged.
     """
     v = np.asarray(values, dtype=float)
     distinct = np.unique(v)
@@ -134,7 +159,7 @@ def bin_by_projection(values, n_bins: int) -> list[np.ndarray]:
         if total <= 0:
             centers[k:] = centers[0]
             break
-        centers[k] = v[rng.choice(v.size, p=d2 / total)]
+        centers[k] = v[_choice(rng, d2 / total)]
         d2 = np.minimum(d2, (v - centers[k]) ** 2)
 
     assign = None
@@ -143,13 +168,20 @@ def bin_by_projection(values, n_bins: int) -> list[np.ndarray]:
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for k in range(n_bins):
-            members = v[assign == k]
-            if members.size:
-                centers[k] = members.mean()
-    order = np.argsort(centers)
-    groups = [np.flatnonzero(assign == k) for k in order]
-    return [g for g in groups if g.size]
+        members = np.argsort(assign, kind="stable")
+        cuts = assign[members].searchsorted(np.arange(n_bins + 1)).tolist()
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            if hi > lo:
+                centers[k] = v[members[lo:hi]].sum() / (hi - lo)
+    else:
+        log.warning("k-means of %d values into %d bins stopped at its cap of %d "
+                    "iterations short of a fixed point", v.size, n_bins, _KMEANS_MAX_ITER)
+    groups = [members[cuts[k]:cuts[k + 1]] for k in np.argsort(centers)]
+    groups = [g for g in groups if g.size]
+    if len(groups) < n_bins:
+        log.warning("k-means of %d values into %d bins left %d empty", v.size, n_bins,
+                    n_bins - len(groups))
+    return groups
 
 
 def kmeans_objective(values, groups) -> float:
@@ -225,10 +257,11 @@ def curve(
         groups = bin_by_projection(v, n_bins)
     bins = tuple(
         FragilityBin(
-            center=float(v[g].mean()),
+            # one sum over the count each: np.mean's add.reduce and division
+            center=float(v[g].sum() / g.size),
             count=int(g.size),
-            p_ref=float(np.mean(y[g] == 1)),
-            p_est=float(np.mean(p[g])),
+            p_ref=float(np.count_nonzero(y[g] == 1) / g.size),
+            p_est=float(p[g].sum() / g.size),
         )
         for g in groups
     )

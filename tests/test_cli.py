@@ -667,6 +667,25 @@ class TestFragility:
             score = [row[3:5] for row in curves if row[2] == "score"]
             assert [row[3:5] for row in curves if row[2] == "hybrid"] == score
 
+    def test_sensitivity_count_the_final_scores_cannot_fill_is_left_out(
+        self, pipeline_dir, tmp_path, monkeypatch, caplog
+    ):
+        _, out = pipeline_dir
+        too_many = read_labels_csv(out / "labels_5.csv")[0].size + 1
+        monkeypatch.setattr(cli, "SENSITIVITY_BINS", (*cli.SENSITIVITY_BINS, too_many))
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        with caplog.at_level(logging.WARNING, logger="seisfrag.cli"):
+            frag_dir = cmd_fragility(smoke_config(copy))
+        # every other line is written as without that count
+        for name in ("curves.csv", "report.txt"):
+            assert filecmp.cmp(frag_dir / name, out / "fragility_5_linear_r4" / name,
+                               shallow=False)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"fragility_5_linear_r4: sensitivity.k{too_many} left out: a run's final scores "
+            f"have fewer than {too_many} distinct values"
+        ]
+
     def test_binning_every_checkpoint_gives_the_same_files(self, pipeline_dir, tmp_path,
                                                            monkeypatch):
         _, out = pipeline_dir
@@ -832,6 +851,40 @@ class TestSharedRuns:
         assert [r.getMessage() for r in caplog.records] == [
             f"learn_5_linear_r4 run {flagged[0]:02d}: 1 SMO solves stopped at the update cap"
         ]
+
+
+class TestFailedCommand:
+    """A command removes its summary files before its runs start, so one that
+    fails leaves none of an earlier config next to its own run files."""
+
+    CFG = dict(budget=30, n_runs=3)
+
+    @pytest.mark.parametrize("command, summaries, merged", [
+        ("learn", ("summary.csv", "baselines.csv"), ("learn.summary", "learn.baselines")),
+        ("fragility", ("report.txt", "curves.csv"), ("pool.kept", "run00.")),
+    ])
+    def test_no_earlier_summary_after_a_failed_run(self, pipeline_dir, tmp_path, monkeypatch,
+                                                   command, summaries, merged):
+        out = learn_inputs(pipeline_dir[1], tmp_path / "ws")
+        cmd_learn(smoke_config(out, **self.CFG, cost=10))
+        cmd_fragility(smoke_config(out, **self.CFG, cost=10))
+        run_task = getattr(cli, f"_{command}_run")
+
+        def failing(*args):
+            if args[-1] == 2:
+                raise RuntimeError("run 02 failed")
+            return run_task(*args)
+
+        monkeypatch.setattr(cli, f"_{command}_run", failing)
+        # learn under another cost; fragility under the cost its models have
+        cfg = smoke_config(out, **self.CFG, cost=5 if command == "learn" else 10)
+        with pytest.raises(RuntimeError, match="^run 02 failed$"):
+            getattr(cli, f"cmd_{command}")(cfg)
+        target = out / f"{command}_5_linear_r4"
+        assert (target / "model_run00.csv" if command == "learn" else target).exists()
+        assert not [name for name in summaries if (target / name).exists()]
+        report = cmd_report(cfg).read_text().splitlines()
+        assert not [line for line in report if line.startswith(merged)]
 
 
 class TestBlasThreads:

@@ -1,13 +1,17 @@
 """Tests for calibration, binning, and fragility-curve diagnostics."""
 
+import copy
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from seisfrag import fragility
 from seisfrag.fragility import (
     FragilityBin,
     LogisticCalibration,
+    _choice,
     bin_by_projection,
     curve,
     delta_l2,
@@ -123,6 +127,148 @@ class TestBinning:
     def test_too_many_bins_rejected(self):
         with pytest.raises(ValueError):
             bin_by_projection([1.0, 1.0, 2.0], 3)
+
+
+def reference_bin_by_projection(values, n_bins: int) -> list[np.ndarray]:
+    """bin_by_projection with masked means, per-cluster scans and
+    Generator.choice: the groups the grouped form must return, bit for bit."""
+    v = np.asarray(values, dtype=float)
+    distinct = np.unique(v)
+    if n_bins < 1 or n_bins > distinct.size:
+        raise ValueError(f"need 1 <= n_bins <= {distinct.size} distinct values, got {n_bins}")
+    if n_bins == distinct.size:
+        return [np.flatnonzero(v == c) for c in distinct]
+
+    rng = stream(fragility._KMEANS_SEED, "kmeans", n_bins, v.size)
+    centers = np.empty(n_bins)
+    centers[0] = v[rng.integers(v.size)]
+    d2 = (v - centers[0]) ** 2
+    for k in range(1, n_bins):
+        total = d2.sum()
+        if total <= 0:
+            centers[k:] = centers[0]
+            break
+        centers[k] = v[rng.choice(v.size, p=d2 / total)]
+        d2 = np.minimum(d2, (v - centers[k]) ** 2)
+
+    assign = None
+    for _ in range(fragility._KMEANS_MAX_ITER):
+        new_assign = np.argmin(np.abs(v[:, None] - centers[None, :]), axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for k in range(n_bins):
+            members = v[assign == k]
+            if members.size:
+                centers[k] = members.mean()
+    order = np.argsort(centers)
+    groups = [np.flatnonzero(assign == k) for k in order]
+    return [g for g in groups if g.size]
+
+
+BINNING_KINDS = ("normal", "ties", "lognormal", "constant half")
+
+
+def binning_values(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "ties":  # few distinct values, each repeated
+        return np.round(rng.standard_normal(n), 1)
+    if kind == "lognormal":  # a heavy right tail
+        return rng.lognormal(0.0, 2.0, n)
+    values = rng.standard_normal(n)
+    values[: n // 2] = 0.7
+    return values
+
+
+class TestBinningBits:
+    """The grouped Lloyd step and the inverse-CDF draw give the groups of
+    masked means and Generator.choice, and the curve's one-sum statistics the
+    bits of np.mean."""
+
+    @pytest.mark.parametrize("kind", BINNING_KINDS)
+    def test_groups_equal_the_reference(self, kind):
+        rng = np.random.default_rng(BINNING_KINDS.index(kind))
+        for n in (3, 5, 17, 46, 125, 400, 1609):
+            values = binning_values(kind, n, rng)
+            distinct = np.unique(values).size
+            for n_bins in sorted({k for k in (1, 2, 20, 40, distinct) if k <= distinct}):
+                groups = bin_by_projection(values, n_bins)
+                expected = reference_bin_by_projection(values, n_bins)
+                assert len(groups) == len(expected)
+                assert all(np.array_equal(g, e) for g, e in zip(groups, expected))
+
+    def test_choice_draws_like_generator_choice(self):
+        weights_rng = np.random.default_rng(14)
+        for seed in range(400):
+            n = (5, 46, 125, 304)[seed % 4]
+            weights = weights_rng.random(n) ** 3
+            weights[weights_rng.random(n) < 0.3] = 0.0  # chosen centers weigh nothing
+            weights[weights_rng.integers(n)] = 1.0
+            p = weights / weights.sum()
+            drawn, chosen = stream(seed, "draw"), stream(seed, "draw")
+            for _ in range(4):
+                assert _choice(drawn, p) == chosen.choice(n, p=p)
+            assert drawn.random() == chosen.random()  # the streams stay in step
+
+    def test_choice_takes_the_right_side_of_a_step_at_the_uniform(self):
+        # p's cumulative sum steps exactly at the next uniform u: choice takes
+        # the index above the step, where a left-sided search takes the one below
+        for seed in range(100):
+            drawn, chosen = stream(seed, "step"), stream(seed, "step")
+            u = copy.deepcopy(chosen).random()
+            p = np.array([u, 1.0 - u])  # exact: u is a multiple of 2**-53
+            assert p.cumsum()[-1] == 1.0
+            assert _choice(drawn, p) == chosen.choice(2, p=p) == 1
+            assert drawn.random() == chosen.random()
+
+    @pytest.mark.parametrize("kind", BINNING_KINDS)
+    def test_curve_bins_equal_np_mean(self, kind):
+        rng = np.random.default_rng(20 + BINNING_KINDS.index(kind))
+        for n, n_bins in ((46, 5), (125, 20), (1609, 20)):
+            values = binning_values(kind, n, rng)
+            labels = np.where(rng.random(n) < 0.2, 1, -1)
+            probabilities = rng.random(n) ** 4
+            cv = curve(labels, probabilities, values, n_bins)
+            assert cv.bins == tuple(
+                FragilityBin(
+                    center=float(np.mean(values[g])),
+                    count=int(g.size),
+                    p_ref=float(np.mean(labels[g] == 1)),
+                    p_est=float(np.mean(probabilities[g])),
+                )
+                for g in reference_bin_by_projection(values, n_bins)
+            )
+
+    def test_converged_binning_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="seisfrag.fragility"):
+            bin_by_projection(np.random.default_rng(3).standard_normal(400), 10)
+        assert not caplog.records
+
+    def test_loop_stopped_at_the_cap_is_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(fragility, "_KMEANS_MAX_ITER", 1)
+        with caplog.at_level(logging.WARNING, logger="seisfrag.fragility"):
+            groups = bin_by_projection(np.random.default_rng(3).standard_normal(400), 10)
+        assert sum(g.size for g in groups) == 400
+        assert [r.getMessage() for r in caplog.records] == [
+            "k-means of 400 values into 10 bins stopped at its cap of 1 iterations short "
+            "of a fixed point"
+        ]
+
+    def test_empty_bins_are_dropped_and_logged(self, caplog):
+        # 1e-200 squares to 0: once 1 and a tiny value are centers, every
+        # squared distance is 0, so the seeding repeats the first center. This
+        # stream draws 1 first; its cluster's mean stays 1, and the repeat,
+        # with the higher index, never wins a tie with it
+        values = np.array([-1e-200, 0.0, 1e-200, 1.0, 1.0])
+        with caplog.at_level(logging.WARNING, logger="seisfrag.fragility"):
+            groups = bin_by_projection(values, 3)
+        assert [g.tolist() for g in groups] == [[0, 1, 2], [3, 4]]
+        assert all(np.array_equal(g, e)
+                   for g, e in zip(groups, reference_bin_by_projection(values, 3)))
+        assert [r.getMessage() for r in caplog.records] == [
+            "k-means of 5 values into 3 bins left 1 empty"
+        ]
 
 
 class TestCurve:
