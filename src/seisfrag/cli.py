@@ -60,13 +60,11 @@ class RunConfig:
     pool_size: int = 5000
     preset: str = "5"  # 2.5 | 5 | 10 Hz structure
     kernel: str = "linear"  # linear | rbf
-    gamma: float = 0.0  # rbf width; 0 means 1/dim
     cost: float = 10.0
     feature_set: str = "r4"  # r4 | r13
     budget: int = 1000
     n_runs: int = 20
     n_bins: int = 20
-    batch_size: int = 500
     out_dir: str = "runs/demo"
 
     def __post_init__(self):
@@ -78,6 +76,10 @@ class RunConfig:
             raise ValueError(f"feature_set must be r4 or r13, got {self.feature_set!r}")
         if self.pool_size < 1 or self.budget < 2 or self.n_runs < 1:
             raise ValueError("pool_size, budget and n_runs must be positive")
+        if not self.cost > 0:  # SMO at cost 0 returns a zero model flagged as converged
+            raise ValueError(f"cost must be positive, got {self.cost}")
+        if self.n_bins < 1:
+            raise ValueError(f"n_bins must be at least 1, got {self.n_bins}")
         if self.pool_size < PRODUCTION_MIN_POOL:
             warnings.warn(
                 f"pool_size {self.pool_size} is below the production floor "
@@ -93,23 +95,27 @@ class RunConfig:
         if self.kernel == "linear":
             return Kernel("linear")
         dim = 4 if self.feature_set == "r4" else 13
-        return Kernel("rbf", gamma=self.gamma if self.gamma > 0 else 1.0 / dim)
+        return Kernel("rbf", gamma=1.0 / dim)
 
     @property
     def tag(self) -> str:
         return f"{self.kernel}_{self.feature_set}"
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Flat key=value file; every key can be overridden by a flag."""
-    values: dict = {}
-    if path:
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+def _config_values(path) -> dict:
+    """The raw key=value pairs of a flat config file."""
+    values = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
+    return values
+
+
+def load_config(path: str | None, overrides: dict) -> RunConfig:
+    """Flat key=value file; every key can be overridden by a flag."""
+    values = _config_values(path) if path else {}
     values.update({k: v for k, v in overrides.items() if v is not None})
     kwargs = {}
     for f in fields(RunConfig):
@@ -184,25 +190,23 @@ def _feature_row(out: Path, seed: int, kde_model, structure, i: int) -> list:
 def cmd_generate(cfg: RunConfig) -> Path:
     """Sample parameters, synthesize the pool, extract features.
 
-    Work proceeds in batches; a finished batch leaves a part file, so an
+    Every signal of the pool is one task, shared out over the cores (see
+    `run_shared`); a stored signal is read rather than synthesized, so an
     interrupted run resumes where it stopped and reproduces identical output.
-    An out_dir whose pool was generated with another seed, pool_size or
-    batch_size is refused: its signals and part files belong to that pool.
-    So is one holding signals or part files of another synthesis version, or
-    of none recorded: resuming it would mix signals of two versions. The
-    signals of a batch are shared out over the cores (see `run_shared`).
+    An out_dir whose pool was generated with another seed or pool_size is
+    refused: its signals belong to that pool. So is one holding signals of
+    another synthesis version, or of none recorded: resuming it would mix
+    signals of two versions.
     """
     out = Path(cfg.out_dir)
     config_path = out / "config.txt"
     changed = []
     if config_path.exists():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            previous = load_config(str(config_path), {})
-        keys = ("seed", "pool_size", "batch_size")
-        changed = [k for k in keys if getattr(previous, k) != getattr(cfg, k)]
-    stored = any(out.glob("signals/sig_*.bin")) or any(out.glob("features_*_part*.csv"))
-    if stored and not _current_synthesis(out):
+        # read as it stands: an older config.txt lists keys RunConfig no longer has
+        previous = _config_values(config_path)
+        changed = [k for k in ("seed", "pool_size")
+                   if int(previous.get(k, getattr(RunConfig, k))) != getattr(cfg, k)]
+    if any(out.glob("signals/sig_*.bin")) and not _current_synthesis(out):
         changed.append("synthesis_version")
     if changed:
         raise ValueError(f"{out} holds a pool generated with other {', '.join(changed)}")
@@ -213,22 +217,11 @@ def cmd_generate(cfg: RunConfig) -> Path:
     kde_model = kristan_bandwidth(ensemble)
     save_kde_csv(out / "kde_model.csv", kde_model)
 
-    columns = ["id", *FEATURE_NAMES]
-    n_batches = (cfg.pool_size + cfg.batch_size - 1) // cfg.batch_size
-    rows = []
-    for b in range(n_batches):
-        part = out / f"features_{cfg.preset}_part{b:04d}.csv"
-        done = read_table(part) if part.exists() else None
-        if done is None or done.columns != columns:
-            indices = range(b * cfg.batch_size, min((b + 1) * cfg.batch_size, cfg.pool_size))
-            write_table(part, columns, run_shared(
-                [partial(_feature_row, out, cfg.seed, kde_model, cfg.structure, i)
-                 for i in indices]))
-            done = read_table(part)
-        rows += done.rows
-
-    write_table(_features_path(cfg, out), columns, rows)
-    return _features_path(cfg, out)
+    rows = run_shared([partial(_feature_row, out, cfg.seed, kde_model, cfg.structure, i)
+                       for i in range(cfg.pool_size)])
+    path = _features_path(cfg, out)
+    write_table(path, ["id", *FEATURE_NAMES], rows)
+    return path
 
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +247,7 @@ def _transformed_path(cfg: RunConfig, out: Path, view: str) -> Path:
 
 
 def cmd_labels(cfg: RunConfig) -> Path:
-    """Nonlinear peak Z and label of every kept signal, batch_size signals per
+    """Nonlinear peak Z and label of every kept signal, all stepped in one
     call of the batched stepper.
 
     First the transform is fitted on the kept pool and written with the pool
@@ -275,13 +268,10 @@ def cmd_labels(cfg: RunConfig) -> Path:
                         ["id", *(f"x_{j}" for j in range(matrix.shape[1]))],
                         ([ids[i], *row] for i, row in zip(kept, matrix)))
     measures = [FEATURE_NAMES.index(name) for name in LABEL_MEASURES]
-    rows = []
-    for start in range(0, kept.size, cfg.batch_size):
-        batch = kept[start : start + cfg.batch_size]
-        signals = [read_signal_binary(_signal_path(out, int(ids[i]))) for i in batch]
-        peaks = solve_nonlinear(signals, structure).samples
-        for i, z in zip(batch, peaks.tolist()):
-            rows.append([ids[i], *raw[i, measures], z, 1 if z > structure.threshold else -1])
+    signals = [read_signal_binary(_signal_path(out, int(ids[i]))) for i in kept]
+    peaks = solve_nonlinear(signals, structure).samples
+    rows = ([ids[i], *raw[i, measures], z, 1 if z > structure.threshold else -1]
+            for i, z in zip(kept, peaks.tolist()))
     path = _labels_path(cfg, out)
     write_table(path, ["id", *LABEL_MEASURES, "max_nonlinear", "label"], rows)
     return path
@@ -303,7 +293,8 @@ def read_labels_csv(path, names=("id", "max_nonlinear", "label")) -> tuple[np.nd
 def _load_pool(cfg: RunConfig, out: Path) -> tuple[np.ndarray, Pool]:
     """The kept ids, and the kept pool in the config's feature view: the
     matrix labels stored, refused unless its ids are the kept ids, with the
-    labels, PGA and L of the labels file."""
+    labels, PGA and L of the labels file. A budget or bin count above the
+    kept count is refused: no run could label or bin that many signals."""
     kept_ids, pga, lin_disp, labels = read_labels_csv(
         _labels_path(cfg, out), ("id", "pga", "lin_disp", "label")
     )
@@ -311,6 +302,10 @@ def _load_pool(cfg: RunConfig, out: Path) -> tuple[np.ndarray, Pool]:
     values = read_table(path).floats()
     if not np.array_equal(values[:, 0].astype(int), kept_ids):
         raise ValueError(f"{path}: ids differ from the kept ids of the labels file")
+    for key in ("budget", "n_bins"):
+        if getattr(cfg, key) > kept_ids.size:
+            raise ValueError(f"{key}={getattr(cfg, key)} exceeds the {kept_ids.size} signals "
+                             f"of the kept pool in {path}")
     # prep.apply's layout: column-major in the r4 view, whose columns it picks
     # with a list, row-major in r13. BLAS sums the same values in another order
     # on another layout, which would move every linear score by ulps.
@@ -371,7 +366,7 @@ def _learn_run(cfg: RunConfig, kept_ids, pool: Pool, learn_dir: Path, run: int):
     state = active_learn(
         pool,
         cfg.make_kernel(),
-        budget=min(cfg.budget, len(pool)),
+        budget=cfg.budget,
         rng=stream(cfg.seed, "learn", run),
         cost=cfg.cost,
         eval_at=schedule,

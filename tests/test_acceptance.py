@@ -486,7 +486,7 @@ def test_criterion_15_determinism(tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             cfg = load_config(None, dict(
-                seed=9, pool_size=220, budget=15, n_runs=1, batch_size=110,
+                seed=9, pool_size=220, budget=15, n_runs=1,
                 n_bins=6, out_dir=str(tmp_path / sub),
             ))
             cmd_generate(cfg)

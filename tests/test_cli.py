@@ -49,7 +49,7 @@ from test_oscillator import reference_solve
 from test_runner import cores, no_fork, two_cores
 from test_tracing import _tracing
 
-SMOKE = dict(seed=3, pool_size=220, budget=25, n_runs=2, batch_size=100, n_bins=6)
+SMOKE = dict(seed=3, pool_size=220, budget=25, n_runs=2, n_bins=6)
 
 
 def smoke_config(out_dir, **extra):
@@ -81,10 +81,11 @@ class TestConfig:
         assert cfg.pool_size == 900
         assert cfg.preset == "10"
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["polsize=100", "batch_size=500", "gamma=0.0"])
+    def test_unknown_key_rejected(self, tmp_path, line):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("polsize=100\n")
-        with pytest.raises(ValueError):
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(ValueError, match="unknown config keys"):
             load_config(str(cfg_file), {})
 
     def test_validation(self):
@@ -92,6 +93,9 @@ class TestConfig:
             RunConfig(preset="7")
         with pytest.raises(ValueError):
             RunConfig(kernel="poly")
+        for key, value in (("cost", 0.0), ("cost", -1.0), ("cost", float("nan")), ("n_bins", 0)):
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                RunConfig(**{key: value})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.warns(UserWarning):
@@ -100,7 +104,7 @@ class TestConfig:
 
 class TestGenerate:
     def test_small_pool_produces_one_file_per_signal(self, tmp_path):
-        cfg = smoke_config(tmp_path / "tiny", pool_size=10, batch_size=4)
+        cfg = smoke_config(tmp_path / "tiny", pool_size=10)
         cmd_generate(cfg)
         assert len(list((tmp_path / "tiny" / "signals").glob("sig_*.bin"))) == 10
         ids, raw = read_features_csv(tmp_path / "tiny" / "features_5.csv")
@@ -108,8 +112,8 @@ class TestGenerate:
         assert raw.shape == (10, 13)
 
     def test_rerun_is_bit_identical(self, tmp_path):
-        cfg_a = smoke_config(tmp_path / "a", pool_size=40, batch_size=16)
-        cfg_b = smoke_config(tmp_path / "b", pool_size=40, batch_size=16)
+        cfg_a = smoke_config(tmp_path / "a", pool_size=40)
+        cfg_b = smoke_config(tmp_path / "b", pool_size=40)
         cmd_generate(cfg_a)
         cmd_generate(cfg_b)
         assert filecmp.cmp(tmp_path / "a" / "features_5.csv", tmp_path / "b" / "features_5.csv", shallow=False)
@@ -121,28 +125,22 @@ class TestGenerate:
             )
 
     def test_checkpoint_resume_reproduces_output(self, tmp_path):
-        cfg = smoke_config(tmp_path / "ckpt", pool_size=40, batch_size=10)
-        reference = cmd_generate(cfg).read_text()
-        # wipe the last two batches and one of their signals, then resume
-        for b in (2, 3):
-            (tmp_path / "ckpt" / f"features_5_part{b:04d}.csv").unlink()
-        (tmp_path / "ckpt" / "signals" / "sig_00031.bin").unlink()
-        resumed = cmd_generate(cfg).read_text()
-        assert resumed == reference
-        assert (tmp_path / "ckpt" / "signals" / "sig_00031.bin").exists()
-
-    def test_batch_size_does_not_change_output(self, tmp_path):
-        cfg_a = smoke_config(tmp_path / "ba", pool_size=30, batch_size=7)
-        cfg_b = smoke_config(tmp_path / "bb", pool_size=30, batch_size=30)
-        a = cmd_generate(cfg_a).read_text()
-        b = cmd_generate(cfg_b).read_text()
-        assert a == b
+        out = tmp_path / "ckpt"
+        cfg = smoke_config(out, pool_size=40)
+        reference = cmd_generate(cfg).read_bytes()
+        signals = {p.name: p.read_bytes() for p in (out / "signals").iterdir()}
+        # as a run cut short: no features file, and some signals not yet stored
+        (out / "features_5.csv").unlink()
+        for i in (3, 17, 31):
+            (out / "signals" / f"sig_{i:05d}.bin").unlink()
+        assert cmd_generate(cfg).read_bytes() == reference
+        assert {p.name: p.read_bytes() for p in (out / "signals").iterdir()} == signals
 
     def test_other_pool_keys_refused(self, tmp_path):
         out = tmp_path / "stale"
-        pool = dict(pool_size=20, seed=1, batch_size=100)
+        pool = dict(pool_size=20, seed=1)
         first = cmd_generate(smoke_config(out, **pool)).read_text()
-        for key, value in (("seed", 2), ("pool_size", 24), ("batch_size", 7)):
+        for key, value in (("seed", 2), ("pool_size", 24)):
             with pytest.raises(ValueError, match=key):
                 cmd_generate(smoke_config(out, **{**pool, key: value}))
         assert (out / "features_5.csv").read_text() == first
@@ -156,11 +154,11 @@ class TestGenerate:
     @pytest.mark.parametrize("stale", ["no_version_line", "other_version", "no_config"])
     def test_pool_of_another_synthesis_version_refused(self, tmp_path, stale):
         out = tmp_path / "pool"
-        cfg = smoke_config(out, pool_size=12, batch_size=5)
+        cfg = smoke_config(out, pool_size=12)
         first = cmd_generate(cfg).read_text()
         signals = {p.name: p.read_bytes() for p in (out / "signals").iterdir()}
         # its own pool serves another preset, reusing the signal files
-        cmd_generate(smoke_config(out, pool_size=12, batch_size=5, preset="2.5"))
+        cmd_generate(smoke_config(out, pool_size=12, preset="2.5"))
         assert {p.name: p.read_bytes() for p in (out / "signals").iterdir()} == signals
         config = out / "config.txt"
         version_line = f"# synthesis_version={SYNTHESIS_VERSION}\n"
@@ -174,7 +172,7 @@ class TestGenerate:
         with pytest.raises(ValueError, match="synthesis_version"):
             cmd_generate(cfg)
         with pytest.raises(ValueError, match="synthesis_version"):
-            cmd_generate(smoke_config(out, pool_size=12, batch_size=5, preset="10"))
+            cmd_generate(smoke_config(out, pool_size=12, preset="10"))
         assert (config.read_text() if config.exists() else None) == kept
         assert (out / "features_5.csv").read_text() == first
 
@@ -195,15 +193,41 @@ class TestGenerate:
     def test_empty_out_dir_with_an_old_config_accepted(self, tmp_path):
         out = tmp_path / "pool"
         out.mkdir()
-        (out / "config.txt").write_text("seed=3\npool_size=12\nbatch_size=5\n")
-        cmd_generate(smoke_config(out, pool_size=12, batch_size=5))
+        (out / "config.txt").write_text("seed=3\npool_size=12\nbatch_size=5\ngamma=0.0\n")
+        cmd_generate(smoke_config(out, pool_size=12))
         assert f"# synthesis_version={SYNTHESIS_VERSION}" in (out / "config.txt").read_text()
+
+    def test_pool_of_the_batched_layout_serves_another_preset(self, tmp_path):
+        """A pool as generate left it while it still wrote one part file per
+        batch of batch_size signals and kept batch_size and gamma in its
+        config.txt: another preset over it gives the features of a fresh
+        pool, and another seed or pool_size is still refused."""
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        expected = {preset: cmd_generate(smoke_config(fresh, pool_size=12, preset=preset))
+                    .read_bytes() for preset in ("5", "10")}
+        cmd_generate(smoke_config(old, pool_size=12))
+        signals = {p.name: p.read_bytes() for p in (old / "signals").iterdir()}
+        config = old / "config.txt"
+        config.write_text(config.read_text()
+                          .replace("kernel=linear\n", "kernel=linear\ngamma=0.0\n")
+                          .replace("n_bins=6\n", "n_bins=6\nbatch_size=5\n"))
+        header, *rows = (old / "features_5.csv").read_text().splitlines(keepends=True)
+        for b in range(3):
+            (old / f"features_5_part{b:04d}.csv").write_text(header + "".join(rows[5 * b:5 * b + 5]))
+        for key, value in (("seed", 4), ("pool_size", 13)):
+            with pytest.raises(ValueError, match=f"other {key}$"):
+                cmd_generate(smoke_config(old, **{"pool_size": 12, "preset": "10", key: value}))
+        assert (cmd_generate(smoke_config(old, pool_size=12, preset="10")).read_bytes()
+                == expected["10"])
+        assert (old / "features_5.csv").read_bytes() == expected["5"]
+        assert {p.name: p.read_bytes() for p in (old / "signals").iterdir()} == signals
+        assert not {"batch_size", "gamma"} & cli._config_values(config).keys()
 
 
 class TestSharedGenerate:
-    """`generate` shares each batch's signals over the cores, byte for byte."""
+    """`generate` shares the pool's signals over the cores, byte for byte."""
 
-    POOL = dict(pool_size=12, batch_size=5)  # two full batches and a short one
+    POOL = dict(pool_size=12)
 
     def generated(self, out) -> dict:
         """Every file but config.txt (which names out) after generate for the
@@ -228,12 +252,12 @@ class TestSharedGenerate:
         alone = self.one_core(tmp_path / "alone", monkeypatch)
         assert shared.keys() == alone.keys()
         assert len([name for name in alone if name.startswith("signals/sig_")]) == 12
-        assert {f"features_{p}_part{b:04d}.csv" for p in ("5", "10") for b in range(3)} < alone.keys()
         assert shared == alone
 
-    def test_error_in_a_worker_leaves_no_part_and_no_partial_file(self, tmp_path, monkeypatch):
-        """The worker fails synthesizing a signal of the second batch: that
-        batch and the rest get no part file, and a rerun completes the pool."""
+    def test_error_in_a_worker_leaves_no_features_and_no_partial_file(self, tmp_path,
+                                                                       monkeypatch):
+        """The worker fails synthesizing one of the last seven signals: no
+        features file is written, and a rerun completes the pool."""
         parent = os.getpid()
         late = {stream_seed(SMOKE["seed"], "signal", i) for i in range(5, 12)}
 
@@ -249,7 +273,7 @@ class TestSharedGenerate:
             with pytest.raises(RuntimeError, match="^synthesis cut short$"):
                 cmd_generate(smoke_config(out, **self.POOL))
         assert not multiprocessing.active_children()
-        assert sorted(p.name for p in out.glob("features_*")) == ["features_5_part0000.csv"]
+        assert not list(out.glob("features_*"))
         assert not list(out.rglob("*.tmp"))
         with monkeypatch.context() as mp:
             cores(mp, 2)
@@ -276,9 +300,10 @@ class TestLabels:
         assert 0.05 <= np.mean(labels == 1) <= 0.30
 
     def test_batches_give_the_scalar_reference_file(self, pipeline_dir, tmp_path, monkeypatch):
+        """One call of the batched stepper holds every kept signal, and gives
+        the labels that stepping each signal alone gives."""
         _, out = pipeline_dir
-        batched, scalar = tmp_path / "batched", tmp_path / "scalar"
-        shutil.copytree(out, batched)
+        scalar = tmp_path / "scalar"
         shutil.copytree(out, scalar)
         calls = []
 
@@ -287,14 +312,10 @@ class TestLabels:
             peaks = [np.max(np.abs(reference_solve(s, structure).samples)) for s in signals]
             return NonlinearPeaks(samples=np.array(peaks), dt=np.zeros(len(signals)))
 
-        cmd_labels(smoke_config(batched, batch_size=7))
         monkeypatch.setattr(cli, "solve_nonlinear", one_by_one)
-        cmd_labels(smoke_config(scalar, batch_size=7))
-        kept = read_labels_csv(out / "labels_5.csv")[0].size
-        assert kept > 3 * 7 and kept % 7 and calls == [7] * (kept // 7) + [kept % 7]
-        reference = (scalar / "labels_5.csv").read_bytes()
-        assert (batched / "labels_5.csv").read_bytes() == reference
-        assert (out / "labels_5.csv").read_bytes() == reference  # batches of 100
+        cmd_labels(smoke_config(scalar))
+        assert calls == [read_labels_csv(out / "labels_5.csv")[0].size]
+        assert (out / "labels_5.csv").read_bytes() == (scalar / "labels_5.csv").read_bytes()
 
     def test_empty_kept_pool_writes_the_header_only(self, pipeline_dir, tmp_path):
         _, out = pipeline_dir
@@ -454,6 +475,31 @@ class TestKeptPool:
         labels_file = read_labels_csv(out / "labels_5.csv", ("label", "pga", "lin_disp"))
         for stored, column in zip((pool.labels, pool.raw_pga, pool.raw_lin_disp), labels_file):
             assert np.array_equal(stored, column)
+
+    @pytest.mark.parametrize("command", [cmd_learn, cmd_fragility])
+    def test_budget_above_the_kept_pool_refused(self, pipeline_dir, tmp_path, command):
+        """Seed 3 keeps 68 of 220 signals: a budget of 200 would be cut to 68
+        labels, and fragility would report that one model at n = 100 and 200."""
+        out = learn_inputs(pipeline_dir[1], tmp_path / "ws")
+        with pytest.raises(ValueError, match=r"^budget=200 exceeds the 68 signals of the kept "
+                                             r"pool in .*transformed_5_r4\.csv$"):
+            command(smoke_config(out, budget=200, n_runs=1))
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "labels_5.csv",
+                                                         "transformed_5_r4.csv"]
+
+    def test_bins_above_the_kept_pool_refused(self, tmp_path):
+        """Seed 42 keeps 32 of 100 signals at 5 Hz: 40 bins are refused before
+        learn runs, not deep inside fragility's binning."""
+        cfg = smoke_config(tmp_path / "ws", seed=42, pool_size=100, budget=20, n_runs=1)
+        cmd_generate(cfg)
+        cmd_labels(cfg)
+        for command in (cmd_learn, cmd_fragility):
+            with pytest.raises(ValueError, match=r"^n_bins=40 exceeds the 32 signals"):
+                command(smoke_config(cfg.out_dir, seed=42, pool_size=100, budget=20, n_runs=1,
+                                     n_bins=40))
+        assert not list(Path(cfg.out_dir).glob("learn_*/*"))
+        cmd_learn(smoke_config(cfg.out_dir, seed=42, pool_size=100, budget=20, n_runs=1,
+                               n_bins=32))
 
     def test_learn_needs_only_labels_and_the_transformed_pool(self, pipeline_dir, tmp_path):
         _, out = pipeline_dir
@@ -897,7 +943,7 @@ class TestBlasThreads:
     and there RBF scores moved with the thread count on the 5000-signal
     acceptance workspace but not on any pool of test size."""
 
-    DESK = dict(seed=42, pool_size=400, budget=100, n_runs=2, n_bins=20, batch_size=500)
+    DESK = dict(seed=42, pool_size=400, budget=100, n_runs=2, n_bins=20)
 
     def test_one_and_two_blas_threads_give_the_same_bytes(self, tmp_path):
         base = tmp_path / "base"
@@ -987,9 +1033,16 @@ class TestMainEntry:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             rc = main([
-                "generate", "--pool_size", "10", "--batch_size", "5",
+                "generate", "--pool_size", "10",
                 "--out_dir", str(tmp_path / "cli"), "--seed", "1",
             ])
         assert rc == 0
         assert (tmp_path / "cli" / "features_5.csv").exists()
         assert len(list((tmp_path / "cli" / "signals").glob("*.bin"))) == 10
+
+    @pytest.mark.parametrize("flag", ["--batch_size", "--gamma"])
+    def test_removed_flags_refused(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit):
+            main(["generate", flag, "5", "--out_dir", str(tmp_path / "cli")])
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not (tmp_path / "cli").exists()
