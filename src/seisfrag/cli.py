@@ -221,6 +221,8 @@ def cmd_generate(cfg: RunConfig) -> Path:
                        for i in range(cfg.pool_size)])
     path = _features_path(cfg, out)
     write_table(path, ["id", *FEATURE_NAMES], rows)
+    for part in out.glob("features_*_part[0-9][0-9][0-9][0-9].csv"):  # older layout, unread
+        part.unlink()
     return path
 
 
@@ -306,11 +308,7 @@ def _load_pool(cfg: RunConfig, out: Path) -> tuple[np.ndarray, Pool]:
         if getattr(cfg, key) > kept_ids.size:
             raise ValueError(f"{key}={getattr(cfg, key)} exceeds the {kept_ids.size} signals "
                              f"of the kept pool in {path}")
-    # prep.apply's layout: column-major in the r4 view, whose columns it picks
-    # with a list, row-major in r13. BLAS sums the same values in another order
-    # on another layout, which would move every linear score by ulps.
-    features = np.asarray(values[:, 1:], order="F" if cfg.feature_set == "r4" else "C")
-    return kept_ids, Pool(features, labels, pga, lin_disp)
+    return kept_ids, Pool(values[:, 1:], labels, pga, lin_disp)
 
 
 def _learn_dir(cfg: RunConfig, out: Path) -> Path:

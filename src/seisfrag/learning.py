@@ -30,12 +30,18 @@ class Kernel:
             raise ValueError("rbf kernel needs gamma > 0")
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(a)
-        b = np.atleast_2d(b)
-        if self.kind == "linear":
-            return a @ b.T
-        sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * (a @ b.T)
-        return np.exp(-self.gamma * np.maximum(sq, 0.0))
+        """K(a_i, b_j), each entry summed over the feature columns in their fixed
+        order without BLAS, so that it depends only on its two points."""
+        a, b = np.atleast_2d(a, b)
+        out, term = np.zeros((len(a), len(b))), np.empty((len(a), len(b)))
+        for ak, bk in zip(a.T, b.T):
+            if self.kind == "linear":
+                np.multiply.outer(ak, bk, out=term)
+            else:
+                np.subtract.outer(ak, bk, out=term)
+                term *= term
+            out += term
+        return out if self.kind == "linear" else np.exp(-self.gamma * out)
 
 
 def _smo(
@@ -57,9 +63,9 @@ def _smo(
     update bit for bit (y = +-1) but for the sign of exact zeros, restored on
     exit; up/low membership is a 0 or -+inf penalty, set only where alpha moved.
 
-    k_matrix must be exactly symmetric, as every K built here is (a @ a.T,
-    RBF of it, or a mirrored row): the update reads the contiguous rows
-    K[i] and K[j] in place of the strided columns.
+    k_matrix must be exactly symmetric, as every `Kernel.matrix(x, x)` and
+    every buffer filled from its columns is: the update reads the contiguous
+    rows K[i] and K[j] in place of the strided columns.
     """
     n = labels.size
     if alpha is None:
@@ -112,8 +118,8 @@ def _smo(
 
 
 def _expand(k_block: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """k_block @ coefficients summed by numpy's own loop: BLAS threads a large
-    product and its sum then depends on the thread count."""
+    """k_block @ coefficients summed by numpy's own loop, on any BLAS thread
+    count the same for `active_learn`'s kept columns as for a fresh block."""
     return np.einsum("ij,j->i", k_block, coefficients)
 
 
@@ -136,11 +142,10 @@ class SvmModel:
 
     def score(self, x: np.ndarray) -> np.ndarray | float:
         single = np.ndim(x) == 1
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
         if self.weights is not None:
-            out = x2 @ self.weights + self.bias
+            out = self.kernel.matrix(x, self.weights)[:, 0] + self.bias
         else:
-            out = _expand(self.kernel.matrix(x2, self.support_x), self.coefficients) + self.bias
+            out = _expand(self.kernel.matrix(x, self.support_x), self.coefficients) + self.bias
         return float(out[0]) if single else out
 
 
@@ -274,10 +279,11 @@ class _IncrementalSvm:
 
     The kernel matrix lives in a preallocated buffer; appending a point adds
     one row/column and a zero dual weight, which leaves the previous solution
-    feasible, so the resolve typically needs only a handful of updates.
+    feasible, so the resolve typically needs only a handful of updates. Its
+    entries are read off the caller's columns K(features, labeled point).
     """
 
-    def __init__(self, features, kernel: Kernel, cost: float, indices, labels, capacity: int):
+    def __init__(self, features, kernel: Kernel, cost: float, indices, labels, columns, capacity):
         self.features = features
         self.kernel = kernel
         self.cost = cost
@@ -287,21 +293,18 @@ class _IncrementalSvm:
         self.indices[:n] = indices
         self.labels[:n] = labels
         self.k_buf = np.empty((capacity, capacity))
-        x = features[self.indices[:n]]
-        self.k_buf[:n, :n] = kernel.matrix(x, x)
+        self.k_buf[:n, :n] = columns[self.indices[:n]]
         self.alpha, self.bias, self.converged, self.grad = _smo(
             self.k_buf[:n, :n], self.labels[:n], cost, KKT_TOL
         )
         self.unconverged_solves = int(not self.converged)  # solves stopped at the update cap
 
-    def add(self, index: int, label: int) -> None:
+    def add(self, index: int, label: int, column: np.ndarray) -> None:
         n = self.n
-        row = self.kernel.matrix(self.features[[index]], self.features[self.indices[:n]])[0]
+        row = column[self.indices[:n]]
         self.k_buf[n, :n] = row
         self.k_buf[:n, n] = row
-        self.k_buf[n, n] = float(
-            self.kernel.matrix(self.features[[index]], self.features[[index]])[0, 0]
-        )
+        self.k_buf[n, n] = column[index]
         grad_new = label * float(row @ (self.alpha * self.labels[:n])) - 1.0
         self.indices[n] = index
         self.labels[n] = label
@@ -372,10 +375,10 @@ def active_learn(
     the final model is retrained from scratch so it is exactly what a refit
     of the stored labeled set produces.
 
-    A linear step scores the pool by the primal X @ w + b, as
-    `SvmModel.score` does. An RBF step scores it from K(pool, labeled), kept
-    as one column per labeled point in query order (the model's support
-    order), so each step computes one new column.
+    K(pool, labeled) is kept as one column per labeled point in query order
+    (the model's support order), so each step computes one new column, which
+    the trainer reads too. A linear step scores the pool by `SvmModel.score`;
+    an RBF step from the kept columns, bitwise as `SvmModel.score` does.
     """
     if budget < 2:
         raise ValueError("budget must allow at least the two start points")
@@ -387,26 +390,24 @@ def active_learn(
     labeled = [j1, j2]
     labels = [int(pool.labels[j1]), int(pool.labels[j2])]
     state = ActiveState(labeled_indices=labeled, labels=labels, model=None)
-    trainer = _IncrementalSvm(pool.features, kernel, cost, labeled, labels, budget)
-    if kernel.kind == "rbf":
-        k_cols = np.empty((len(pool), budget))
-        k_cols[:, :2] = kernel.matrix(pool.features, pool.features[labeled])
+    k_cols = np.empty((len(pool), budget))
+    k_cols[:, :2] = kernel.matrix(pool.features, pool.features[labeled])
+    trainer = _IncrementalSvm(pool.features, kernel, cost, labeled, labels, k_cols[:, :2], budget)
     pick = j2
     for n in range(2, budget + 1):  # the labeled-set size once pick is labeled
         if n > 2:
             labeled.append(pick)
             labels.append(int(pool.labels[pick]))
-            trainer.add(pick, labels[-1])
-            if kernel.kind == "rbf":
-                k_cols[:, n - 1] = kernel.matrix(pool.features, pool.features[pick])[:, 0]
+            k_cols[:, n - 1] = kernel.matrix(pool.features, pool.features[pick])[:, 0]
+            trainer.add(pick, labels[-1], k_cols[:, n - 1])
         if n == budget:
             # cold retrain: the stored model equals a refit of its labeled set
             model = train_svm(pool.features[labeled], labels, kernel, cost, refs=np.array(labeled))
         else:
             model = trainer.model()
         state.model = model
-        if kernel.kind == "linear":
-            scores = pool.features @ model.weights + model.bias
+        if model.weights is not None:
+            scores = model.score(pool.features)
         else:
             scores = _expand(k_cols[:, :n], model.coefficients) + model.bias
         value = None

@@ -201,7 +201,8 @@ class TestGenerate:
         """A pool as generate left it while it still wrote one part file per
         batch of batch_size signals and kept batch_size and gamma in its
         config.txt: another preset over it gives the features of a fresh
-        pool, and another seed or pool_size is still refused."""
+        pool and removes the part files, and another seed or pool_size is
+        still refused."""
         fresh, old = tmp_path / "fresh", tmp_path / "old"
         expected = {preset: cmd_generate(smoke_config(fresh, pool_size=12, preset=preset))
                     .read_bytes() for preset in ("5", "10")}
@@ -220,6 +221,7 @@ class TestGenerate:
         assert (cmd_generate(smoke_config(old, pool_size=12, preset="10")).read_bytes()
                 == expected["10"])
         assert (old / "features_5.csv").read_bytes() == expected["5"]
+        assert not list(old.glob("features_*_part*.csv"))
         assert {p.name: p.read_bytes() for p in (old / "signals").iterdir()} == signals
         assert not {"batch_size", "gamma"} & cli._config_values(config).keys()
 
@@ -469,9 +471,6 @@ class TestKeptPool:
         kept_ids, pool = _load_pool(smoke_config(out, feature_set=view), out)
         assert np.array_equal(kept_ids, ids[kept])
         assert pool.features.tobytes() == fitted.tobytes()
-        # BLAS scores depend on the layout: the matrix is laid out as apply's
-        assert pool.features.flags.c_contiguous == fitted.flags.c_contiguous
-        assert pool.features.flags.f_contiguous == fitted.flags.f_contiguous
         labels_file = read_labels_csv(out / "labels_5.csv", ("label", "pga", "lin_disp"))
         for stored, column in zip((pool.labels, pool.raw_pga, pool.raw_lin_disp), labels_file):
             assert np.array_equal(stored, column)
@@ -577,6 +576,41 @@ class TestFragility:
             indices, labels, *_ = read_model_csv(path)
             retrained = train_svm(pool.features[indices], labels, cfg.make_kernel(), cfg.cost)
             assert np.array_equal(loaded.score(pool.features), retrained.score(pool.features))
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_checkpoint_scores_are_the_scores_learn_ranked(self, pipeline_dir, tmp_path,
+                                                           monkeypatch, kernel):
+        """The pool scores behind each checkpoint's PRBP in learn are, bit for
+        bit, the model's own score and the loaded model's score in fragility."""
+        cfg = smoke_config(learn_inputs(pipeline_dir[1], tmp_path / "ws"), kernel=kernel,
+                           budget=50)
+        kept_ids, pool = _load_pool(cfg, Path(cfg.out_dir))
+        learn_dir = cli._learn_dir(cfg, Path(cfg.out_dir))
+        learn_dir.mkdir()
+        states, ranked = [], []
+        active_learn, prbp = cli.active_learn, learning.prbp
+
+        def keep_state(*args, **kwargs):
+            states.append(active_learn(*args, **kwargs))
+            return states[-1]
+
+        def keep_scores(scores, labels):
+            ranked.append(scores.copy())
+            return prbp(scores, labels)
+
+        monkeypatch.setattr(cli, "active_learn", keep_state)
+        monkeypatch.setattr(learning, "prbp", keep_scores)
+        for run in range(cfg.n_runs):
+            ranked.clear()
+            cli._learn_run(cfg, kept_ids, pool, learn_dir, run)
+            state = states[run]
+            assert sorted(state.checkpoints) == [10, 20, 50] and len(ranked) == 3
+            for n, scores in zip(sorted(state.checkpoints), ranked):
+                assert scores.tobytes() == state.checkpoints[n].score(pool.features).tobytes()
+                if n in cli.FRAGILITY_SCHEDULE:
+                    path = cli._model_path(learn_dir, run, None if n == cfg.budget else n)
+                    loaded = _load_model(cfg, path, pool.features)
+                    assert scores.tobytes() == loaded.score(pool.features).tobytes()
 
     @pytest.mark.parametrize("old, new", [
         ("# cost=10\n", "# cost=5\n"),

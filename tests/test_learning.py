@@ -138,12 +138,14 @@ class TestSmoAgainstReference:
 
         monkeypatch.setattr(learning, "_smo", stub)
         first = [int(np.flatnonzero(y == -1)[0]), int(np.flatnonzero(y == 1)[0])]
-        trainer = learning._IncrementalSvm(x, Kernel("linear"), 10.0, first, y[first], 12)
+        k = Kernel("linear").matrix(x, x)
+        trainer = learning._IncrementalSvm(x, Kernel("linear"), 10.0, first, y[first],
+                                           k[:, first], 12)
         assert trainer.model().converged is True
         rest = [i for i in range(12) if i not in first]
-        trainer.add(rest[0], int(y[rest[0]]))
+        trainer.add(rest[0], int(y[rest[0]]), k[:, rest[0]])
         assert trainer.model().converged is False
-        trainer.add(rest[1], int(y[rest[1]]))
+        trainer.add(rest[1], int(y[rest[1]]), k[:, rest[1]])
         assert trainer.model().converged is True
 
 
@@ -155,7 +157,6 @@ class TestKernelSymmetry:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dim", [4, 13])
     def test_kernel_matrix_is_exactly_symmetric(self, kernel, order, dim):
-        # cli._load_pool lays out the r4 view in F order
         x = np.asarray(np.random.default_rng(dim).standard_normal((300, dim)), order=order)
         k = kernel.matrix(x, x)
         assert np.array_equal(k, k.T)
@@ -165,12 +166,46 @@ class TestKernelSymmetry:
         x, y = noisy_problem(6, 40)
         x = np.asfortranarray(x)
         first = [int(np.flatnonzero(y == -1)[0]), int(np.flatnonzero(y == 1)[0])]
-        trainer = learning._IncrementalSvm(x, kernel, 10.0, first, y[first], 40)
+        trainer = learning._IncrementalSvm(x, kernel, 10.0, first, y[first],
+                                           kernel.matrix(x, x[first]), 40)
         for i in [i for i in range(40) if i not in first][:25]:
-            trainer.add(i, int(y[i]))
+            trainer.add(i, int(y[i]), kernel.matrix(x, x[i])[:, 0])
         k = trainer.k_buf[: trainer.n, : trainer.n]
         assert trainer.n == 27
         assert np.array_equal(k, k.T)
+        assert np.array_equal(k, kernel.matrix(x[trainer.indices[:27]], x[trainer.indices[:27]]))
+
+
+class TestKernelEntries:
+    """Every entry of Kernel.matrix depends only on its two points, whatever
+    the call's shape or the inputs' memory layout."""
+
+    @staticmethod
+    def layouts(dim, scale=1.0):
+        base = scale * np.random.default_rng(dim).standard_normal((70, dim + 3))
+        return {"C": np.ascontiguousarray(base[:, 1:dim + 1]),
+                "F": np.asfortranarray(base[:, 1:dim + 1]),
+                "strided": base[::2, 1:dim + 1]}
+
+    @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.25)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dim", [4, 13])
+    def test_block_entry_is_the_single_pair_call(self, kernel, layout, dim):
+        a = self.layouts(dim)[layout]
+        b = a[3:23]
+        k = kernel.matrix(a, b)
+        for i in range(len(a)):
+            for j in range(len(b)):
+                assert k[i, j] == kernel.matrix(a[i], b[j])[0, 0]
+        # a column call gives the block's column, as active_learn relies on
+        for j in (0, 7, 19):
+            assert np.array_equal(kernel.matrix(a, b[j])[:, 0], k[:, j])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dim", [4, 13])
+    def test_rbf_diagonal_is_exactly_one(self, layout, dim):
+        x = self.layouts(dim, scale=30.0)[layout]  # large norms: no cancellation may leave a residue
+        assert np.all(np.diagonal(Kernel("rbf", gamma=1.0 / dim).matrix(x, x)) == 1.0)
 
 
 class TestSvmCore:
