@@ -2,13 +2,16 @@
 
 The explicit scheme u'' -> (u[k+1] - 2u[k] + u[k-1])/dt^2 and
 u' -> (u[k+1] - u[k-1])/(2 dt) turns the oscillator into a second-order IIR
-recurrence, which scipy's lfilter evaluates in C.
+recurrence, which scipy's lfilter evaluates in C from the two steps of the
+startup. Its initial state is the one scipy's lfiltic would build, written out
+in lfiltic's own operations. `scipy.signal` loads all of scipy, so it is
+imported on the first call, not with this module: only the commands that step
+a linear system pay for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
 
 
 def linear_sdof_displacement(
@@ -51,8 +54,11 @@ def linear_sdof_displacement(
     if n == 2:
         return u, u_m1
 
-    b = np.array([0.0, 1.0 / c1])
-    a = np.array([1.0, -c2 / c1, c3 / c1])
-    zi = lfiltic(b, a, y=[u[1], u[0]], x=[f[1], f[0]])
-    u[2:], _ = lfilter(b, a, f[2:], zi=zi)
+    from scipy.signal import lfilter
+
+    b1, a1, a2 = 1.0 / c1, -c2 / c1, c3 / c1
+    # lfiltic's state for y = [u[1], u[0]] and x = [f[1]]: each "0.0 +" is the
+    # start of numpy's sum, which turns a -0.0 term into 0.0
+    zi = np.array([(0.0 + b1 * f[1]) - (0.0 + a1 * u[1] + a2 * u[0]), 0.0 - (0.0 + a2 * u[1])])
+    u[2:], _ = lfilter(np.array([0.0, b1]), np.array([1.0, a1, a2]), f[2:], zi=zi)
     return u, u_m1

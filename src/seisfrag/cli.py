@@ -44,7 +44,8 @@ FRAGILITY_SCHEDULE = LEARN_SCHEDULE[1:]
 PRODUCTION_MIN_POOL = 500
 # learn and fragility share their runs over the cores from this budget on. A
 # run at budget 20 takes 5-10 ms, about what forking and joining a worker costs
-# (8 ms on a 2-core Xeon); from budget 50 on a run takes 14 ms or more.
+# (6.5 ms from a process without scipy, 13 ms from one that has loaded it, on a
+# 2-core Xeon); from budget 50 on a run takes 14 ms or more.
 SHARED_MIN_BUDGET = 50
 # intensity measures the labels file repeats from the features file
 LABEL_MEASURES = ("pga", "pgv", "pgd", "energy", "lin_disp")
@@ -216,6 +217,10 @@ def cmd_generate(cfg: RunConfig) -> Path:
     write_ensemble_csv(out / "ensemble.csv", ensemble)
     kde_model = kristan_bandwidth(ensemble)
     save_kde_csv(out / "kde_model.csv", kde_model)
+
+    # the tasks' linear stepping calls scipy.signal (see _sdof), which loads all
+    # of scipy: loaded here, before run_shared forks, so that no worker loads it again
+    import scipy.signal  # noqa: F401
 
     rows = run_shared([partial(_feature_row, out, cfg.seed, kde_model, cfg.structure, i)
                        for i in range(cfg.pool_size)])
@@ -586,6 +591,8 @@ def cmd_fragility(cfg: RunConfig) -> Path:
 def cmd_identify(cfg: RunConfig, record_paths: list[str]) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    import scipy.optimize  # noqa: F401  (loaded before identify forks, as in cmd_generate)
+
     results = []
     for path in record_paths:
         sig = read_signal_csv(path) if str(path).endswith(".csv") else read_signal_binary(path)

@@ -326,10 +326,7 @@ def highpass_correct(raw: Signal, omega_c: float = DEFAULT_CORNER_OMEGA) -> Sign
 
 
 def write_signal_csv(path, sig: Signal) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dt={sig.dt:.17g}\n")
-        for v in sig.samples:
-            fh.write(f"{v:.17g}\n")
+    atomic_write(path, "".join([f"dt={sig.dt:.17g}\n", *(f"{v:.17g}\n" for v in sig.samples)]))
 
 
 def read_signal_csv(path) -> Signal:

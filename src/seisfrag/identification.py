@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ground_motion import (
     PARAM_NAMES,
@@ -154,6 +153,8 @@ class IdentificationResult:
 
 def _best_of_starts(objective, starts, options: dict):
     """The Nelder-Mead result of lowest objective over the starts; the first wins ties."""
+    from scipy.optimize import minimize
+
     best = None
     for x0 in starts:
         res = minimize(objective, x0, method="Nelder-Mead", options=options)

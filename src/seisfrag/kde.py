@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .ground_motion import GroundMotionParams, ParameterError
 from .table import read_table, write_table
@@ -46,6 +45,8 @@ def beta_opt(dim: int, count: int, curvature: float) -> float:
 
 def _gaussian_pdf(diffs: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Density values and Mahalanobis squares of rows of diffs under N(0, cov)."""
+    from scipy.linalg import cho_factor, cho_solve
+
     d = cov.shape[0]
     factor = cho_factor(cov, lower=True)
     solved = cho_solve(factor, diffs.T).T
@@ -65,6 +66,8 @@ def curvature_functional(pts: np.ndarray, cov: np.ndarray) -> float:
     the points, so the final bandwidth H = beta^2 * cov is equivariant. The
     pairwise weight is the exact Gaussian-mixture curvature polynomial.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     n, d = pts.shape
     s = (4.0 / ((d + 2) * n)) ** (2.0 / (d + 4))
     g = s * cov

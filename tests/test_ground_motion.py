@@ -1,6 +1,8 @@
 """Tests for the modulated filtered white-noise signal model."""
 
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,6 +352,32 @@ class TestSignalIO:
         back = read_signal_csv(path)
         assert back.dt == sig.dt
         assert np.array_equal(back.samples, sig.samples)
+
+    @pytest.mark.parametrize("failure", ["samples", "disk"])
+    def test_csv_write_failing_midway_keeps_the_previous_file(self, tmp_path, monkeypatch, failure):
+        """A write that raises part way leaves the earlier record as it was, and
+        no temporary file: a truncated record would read back as a shorter valid one."""
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, Signal(dt=0.02, samples=np.array([0.0, 1.25, -3.5e-7, 2.0])))
+        before = path.read_bytes()
+        samples = np.linspace(-1.0, 1.0, 50)
+        if failure == "samples":
+            def values():
+                yield from samples[:25]
+                raise OSError("the source failed")
+            sig = SimpleNamespace(dt=0.01, samples=values())
+        else:
+            sig = Signal(dt=0.01, samples=samples)
+
+            def half_then_fail(self, data):
+                with open(self, "wb") as fh:
+                    fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError):
+            write_signal_csv(path, sig)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sig.csv"]
 
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)

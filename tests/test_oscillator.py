@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seisfrag._sdof import linear_sdof_displacement
 from seisfrag.ground_motion import (
     FilterParams,
     GroundMotionParams,
@@ -141,6 +142,49 @@ class TestLinearSolver:
         sig = Signal(dt=0.01, samples=1e12 * np.ones(4000))
         with pytest.raises(TimeStepError):
             solve_linear(sig, CFG)
+
+
+def lfiltic_sdof(forcing, dt, omega, zeta, n_extra=0):
+    """linear_sdof_displacement with lfilter's initial state built by scipy's lfiltic."""
+    from scipy.signal import lfilter, lfiltic
+
+    f = np.asarray(forcing, dtype=float)
+    if n_extra:
+        f = np.concatenate([f, np.zeros(n_extra)])
+    c1 = 1.0 / dt**2 + zeta * omega / dt
+    c2 = 2.0 / dt**2 - omega**2
+    c3 = 1.0 / dt**2 - zeta * omega / dt
+    u_m1 = 0.5 * dt**2 * f[0]
+    u = np.zeros(f.size)
+    if f.size > 1:
+        u[1] = (f[0] + c2 * 0.0 - c3 * u_m1) / c1
+    if f.size > 2:
+        b = np.array([0.0, 1.0 / c1])
+        a = np.array([1.0, -c2 / c1, c3 / c1])
+        zi = lfiltic(b, a, y=[u[1], u[0]], x=[f[1], f[0]])
+        u[2:], _ = lfilter(b, a, f[2:], zi=zi)
+    return u, u_m1
+
+
+class TestLinearSdof:
+    """The initial state written out equals lfiltic's bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2800])
+    @pytest.mark.parametrize("forcing", ["random", "zero", "negative zero", "leading negative zeros"])
+    @pytest.mark.parametrize("n_extra", [0, 1])
+    @pytest.mark.parametrize("zeta", [0.02, 1.0])
+    def test_equals_the_lfiltic_state(self, n, forcing, n_extra, zeta):
+        rng = np.random.default_rng(n)
+        f = {"random": rng.standard_normal(n), "zero": np.zeros(n),
+             "negative zero": np.full(n, -0.0)}.get(forcing)
+        if f is None:
+            f = rng.standard_normal(n)
+            f[:2] = -0.0
+        for dt, omega in ((0.01, 2.0 * math.pi * 5.0), (0.005, 0.7), (1e-4, 250.0)):
+            u, u_m1 = linear_sdof_displacement(f, dt, omega, zeta, n_extra)
+            ref, ref_m1 = lfiltic_sdof(f, dt, omega, zeta, n_extra)
+            assert same_bits(u, ref)
+            assert same_bits(u_m1, ref_m1)
 
 
 class TestNonlinearSolver:

@@ -8,9 +8,12 @@ import time
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seisfrag import runner
+from seisfrag.ground_motion import (FilterParams, GroundMotionParams, ModulationParams,
+                                    synthesize, write_signal_csv)
 
 
 def cores(monkeypatch, n):
@@ -122,10 +125,53 @@ class TestRunShared:
         assert not multiprocessing.active_children()
 
     def test_importing_the_cli_leaves_multiprocessing_out(self):
-        code = "import sys, seisfrag.cli; print('multiprocessing' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in [str(Path(runner.__file__).parents[1]),
-                        os.environ.get("PYTHONPATH")] if p))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
+        out = fresh_python("import sys, seisfrag.cli; print('multiprocessing' in sys.modules)")
+        assert out.strip() == "False"
+
+
+def fresh_python(code: str) -> str:
+    """The standard output of code run in a fresh interpreter on this seisfrag."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [str(Path(runner.__file__).parents[1]), os.environ.get("PYTHONPATH")] if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+# the scipy packages (scipy.<name>) loaded so far, printed as one sorted line
+PRINT_SCIPY = ("import sys; print(' '.join(sorted({'.'.join(m.split('.')[:2]) "
+               "for m in sys.modules if m.split('.')[0] == 'scipy'})))")
+
+
+def scipy_loaded_by(argv: list) -> set:
+    """The scipy packages loaded by one CLI command in a fresh interpreter."""
+    code = ("import warnings; warnings.simplefilter('ignore')\n"
+            f"from seisfrag.cli import main; main({argv!r})\n{PRINT_SCIPY}")
+    return set(fresh_python(code).splitlines()[-1].split())
+
+
+class TestScipyImports:
+    """Each command loads only the scipy it calls: generate steps linear
+    systems through scipy.signal, which loads all of scipy; identify fits
+    through scipy.optimize; labels, learn, fragility and report load none."""
+
+    def test_importing_the_cli_leaves_scipy_out(self):
+        assert fresh_python(f"import seisfrag.cli; {PRINT_SCIPY}").strip() == ""
+
+    def test_only_generate_and_identify_load_scipy(self, tmp_path):
+        flags = [f"--out_dir={tmp_path / 'ws'}", "--seed=3", "--pool_size=220", "--budget=25",
+                 "--n_runs=2", "--n_bins=6"]
+        generated = scipy_loaded_by(["generate", *flags])
+        assert "scipy.signal" in generated
+        light = {(command, kernel): scipy_loaded_by([command, *flags, f"--kernel={kernel}"])
+                 for command, kernel in [("labels", "linear"), ("learn", "linear"),
+                                         ("learn", "rbf"), ("fragility", "linear"),
+                                         ("fragility", "rbf"), ("report", "rbf")]}
+        assert light == dict.fromkeys(light, set())
+        params = GroundMotionParams(
+            ModulationParams(alpha1=1.5, alpha2=0.6, alpha3=1.2, t1=2.0, t2=7.0),
+            FilterParams(omega0=2 * np.pi * 8, omega_n=2 * np.pi * 4, zeta_f=0.3))
+        record = tmp_path / "record.csv"
+        write_signal_csv(record, synthesize(params, duration=22.0, rng=np.random.default_rng(5)))
+        identified = scipy_loaded_by(["identify", f"--out_dir={tmp_path / 'ident'}", str(record)])
+        assert "scipy.optimize" in identified
+        assert not {"scipy.signal", "scipy.stats", "scipy.integrate"} & identified
