@@ -19,7 +19,7 @@ import numpy as np
 
 from . import preprocess as prep
 from .ensemble import reference_ensemble, write_ensemble_csv
-from .features import FEATURE_NAMES, extract
+from .features import FEATURE_NAMES, VIEWS, extract
 from .fragility import (bin_by_projection, curve, fit_logistic, hybrid_probability,
                         labeled_only_diagnostic)
 from .ground_motion import (
@@ -30,7 +30,7 @@ from .ground_motion import (
     synthesize,
     write_signal_binary,
 )
-from .identification import IdentificationConfig, TargetRecord, identify, write_params_csv
+from .identification import TargetRecord, identify, write_params_csv
 from .kde import kristan_bandwidth, sample_theta, save_model_csv as save_kde_csv
 from .learning import Kernel, Pool, SvmModel, active_learn, prbp, train_svm
 from .oscillator import PRESETS, solve_linear, solve_nonlinear
@@ -50,7 +50,6 @@ SHARED_MIN_BUDGET = 50
 # intensity measures the labels file repeats from the features file
 LABEL_MEASURES = ("pga", "pgv", "pgd", "energy", "lin_disp")
 LIN_DISP = FEATURE_NAMES.index("lin_disp")
-VIEWS = ("r4", "r13")  # the feature sets: the transformed pool is stored in both
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +73,7 @@ class RunConfig:
         if self.kernel not in ("linear", "rbf"):
             raise ValueError(f"kernel must be linear or rbf, got {self.kernel!r}")
         if self.feature_set not in VIEWS:
-            raise ValueError(f"feature_set must be r4 or r13, got {self.feature_set!r}")
+            raise ValueError(f"feature_set must be one of {sorted(VIEWS)}, got {self.feature_set!r}")
         if self.pool_size < 1 or self.budget < 2 or self.n_runs < 1:
             raise ValueError("pool_size, budget and n_runs must be positive")
         if not self.cost > 0:  # SMO at cost 0 returns a zero model flagged as converged
@@ -95,8 +94,7 @@ class RunConfig:
     def make_kernel(self) -> Kernel:
         if self.kernel == "linear":
             return Kernel("linear")
-        dim = 4 if self.feature_set == "r4" else 13
-        return Kernel("rbf", gamma=1.0 / dim)
+        return Kernel("rbf", gamma=1.0 / len(VIEWS[self.feature_set]))
 
     @property
     def tag(self) -> str:
@@ -115,26 +113,15 @@ def _config_values(path) -> dict:
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Flat key=value file; every key can be overridden by a flag."""
+    """Flat key=value file; every key can be overridden by a flag. Each value
+    is converted to the type of its key's default."""
     values = _config_values(path) if path else {}
     values.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs = {}
-    for f in fields(RunConfig):
-        if f.name in values:
-            kwargs[f.name] = _convert(f.type, values.pop(f.name))
+    kwargs = {f.name: type(f.default)(values.pop(f.name))
+              for f in fields(RunConfig) if f.name in values}
     if values:
         raise ValueError(f"unknown config keys: {sorted(values)}")
     return RunConfig(**kwargs)
-
-
-def _convert(type_name, raw):
-    if isinstance(raw, (int, float)):
-        return raw
-    if type_name in ("int", int):
-        return int(raw)
-    if type_name in ("float", float):
-        return float(raw)
-    return str(raw)
 
 
 # the line save_config heads a pool's config with; load_config skips it
@@ -269,8 +256,9 @@ def cmd_labels(cfg: RunConfig) -> Path:
     if kept.size >= prep.BOXCOX_MIN_VALUES:
         model = prep.fit(raw[kept])
         prep.save_model_csv(out / f"preprocess_{cfg.preset}.csv", model)
-        for view in VIEWS:
-            matrix = prep.apply(model, raw[kept], view=view)
+        transformed = prep.apply(model, raw[kept])
+        for view, columns in VIEWS.items():
+            matrix = transformed[:, columns]
             write_table(_transformed_path(cfg, out, view),
                         ["id", *(f"x_{j}" for j in range(matrix.shape[1]))],
                         ([ids[i], *row] for i, row in zip(kept, matrix)))
@@ -597,7 +585,7 @@ def cmd_identify(cfg: RunConfig, record_paths: list[str]) -> Path:
     for path in record_paths:
         sig = read_signal_csv(path) if str(path).endswith(".csv") else read_signal_binary(path)
         record = TargetRecord.from_signal(sig)
-        fit = identify(record, IdentificationConfig(seed=cfg.seed))
+        fit = identify(record, cfg.seed)
         if not fit.converged:
             log.warning("%s: identification did not converge", path)
         results.append(fit.params)

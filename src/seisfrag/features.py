@@ -11,10 +11,13 @@ from .ground_motion import PARAM_NAMES, Signal, cumulative_trapezoid, trapezoid
 FEATURE_NAMES = PARAM_NAMES + ("pga", "pgv", "pgd", "energy", "lin_disp")
 N_FEATURES = len(FEATURE_NAMES)  # 13
 
-# reduced view: spectral displacement, peak acceleration, peak velocity,
+# the feature views, by their columns of the feature matrix: r13 is every
+# component; r4 is spectral displacement, peak acceleration, peak velocity and
 # filter start frequency
-R4_NAMES = ("lin_disp", "pga", "pgv", "omega0")
-R4_INDICES = tuple(FEATURE_NAMES.index(name) for name in R4_NAMES)
+VIEWS = {
+    "r4": tuple(FEATURE_NAMES.index(name) for name in ("lin_disp", "pga", "pgv", "omega0")),
+    "r13": tuple(range(N_FEATURES)),
+}
 
 
 @dataclass(frozen=True)

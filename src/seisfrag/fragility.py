@@ -222,9 +222,8 @@ def delta_l2(bins) -> float:
     return float(math.sqrt(np.sum(counts * gaps**2) / np.sum(counts)))
 
 
-def steepness(curve_or_bins, phi: str = "entropy") -> float:
-    """Count-weighted average of phi(p_est); lower means a steeper curve."""
-    bins = curve_or_bins.bins if isinstance(curve_or_bins, FragilityCurve) else curve_or_bins
+def steepness(bins, phi: str = "entropy") -> float:
+    """Count-weighted average of phi(p_est) over the bins; lower means a steeper curve."""
     counts = np.array([b.count for b in bins], dtype=float)
     p = np.array([b.p_est for b in bins])
     if phi == "entropy":

@@ -20,7 +20,7 @@ from .table import atomic_write
 DEFAULT_DT = 0.01  # s
 MIN_DURATION = 20.0  # s
 PAD_AFTER_T2 = 20.0  # s of quiet tail appended after the plateau ends
-DEFAULT_CORNER_OMEGA = 2.0 * math.pi * 0.2  # rad/s, 0.2 Hz high-pass corner
+CORNER_OMEGA = 2.0 * math.pi * 0.2  # rad/s, 0.2 Hz high-pass corner
 IRF_CUTOFF = 8.0  # truncate the IRF tail once its envelope drops below e^-8
 PHASOR_ANCHOR_LAGS = 64  # lags between exact recomputations of the IRF phasor
 # Version of the synthesis arithmetic; a pool stored under another version is
@@ -109,8 +109,8 @@ class Signal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
-        if self.dt <= 0:
-            raise ParameterError(f"signal dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ParameterError(f"signal dt must be positive and finite, got {self.dt}")
         if samples.ndim != 1 or samples.size == 0:
             raise ParameterError("signal needs at least one sample")
         if not np.all(np.isfinite(samples)):
@@ -170,8 +170,9 @@ def irf_h(lag, freq: float, zeta_f: float):
     return float(out[0]) if np.isscalar(lag) or np.ndim(lag) == 0 else out
 
 
-def sigma_f(t: float, filt: FilterParams, dt: float, ramp_duration: float | None = None) -> float:
-    """Standard deviation of the running filtered-noise integral at time t.
+def sigma_f(t: float, filt: FilterParams, dt: float) -> float:
+    """Standard deviation of the running filtered-noise integral at time t,
+    for a frequency ramp that ends at t.
 
     Left-Riemann quadrature over the pulses applied strictly before t, the
     same rule the synthesis uses, so numerator and denominator of the
@@ -180,10 +181,9 @@ def sigma_f(t: float, filt: FilterParams, dt: float, ramp_duration: float | None
     """
     if t <= 0:
         return 0.0
-    horizon = ramp_duration if ramp_duration is not None else t
     n_pulses = int(math.ceil(t / dt - 1e-9))
     taus = np.arange(n_pulses) * dt
-    omegas = filt.omega_at(taus, horizon)
+    omegas = filt.omega_at(taus, t)
     lags = t - taus
     zf = filt.zeta_f
     wd = omegas * math.sqrt(1.0 - zf**2)
@@ -275,7 +275,8 @@ def synthesize(
     params: GroundMotionParams,
     duration: float | None = None,
     dt: float = DEFAULT_DT,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     truncate_irf: bool = True,
 ) -> Signal:
     """Generate one raw (pre-high-pass) signal for the given parameters.
@@ -288,8 +289,6 @@ def synthesize(
         given its state.
     """
     params.validate()
-    if rng is None:
-        raise ValueError("synthesize requires an explicit rng stream")
     m = params.modulation
     if duration is None:
         duration = max(m.t2 + PAD_AFTER_T2, MIN_DURATION)
@@ -301,15 +300,15 @@ def synthesize(
     return Signal(dt=dt, samples=q * y)
 
 
-def highpass_correct(raw: Signal, omega_c: float = DEFAULT_CORNER_OMEGA) -> Signal:
+def highpass_correct(raw: Signal) -> Signal:
     """Zero-residual correction: acceleration of the critically damped filter.
 
-    Integrates u'' + 2*omega_c*u' + omega_c^2*u = s from rest and returns
-    u''(t) on the input grid. Velocity and displacement of the output vanish
-    once the input has been quiet for a few 1/omega_c.
+    Integrates u'' + 2*omega_c*u' + omega_c^2*u = s from rest, omega_c =
+    CORNER_OMEGA, and returns u''(t) on the input grid. Velocity and
+    displacement of the output vanish once the input has been quiet for a few
+    1/omega_c.
     """
-    if omega_c <= 0:
-        raise ParameterError(f"corner frequency must be positive, got {omega_c}")
+    omega_c = CORNER_OMEGA
     s = raw.samples
     dt = raw.dt
     u, u_m1 = linear_sdof_displacement(s, dt, omega_c, 1.0, n_extra=1)

@@ -30,6 +30,15 @@ from .runner import run_shared
 from .table import read_table, write_table
 
 ENERGY_ONSET_FRACTION = 1e-12
+# ascending, so that ties resolve toward the smaller damping
+DAMPING_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+SIM_REPLICATES = 20
+# discretization adjustment r in [0.75, 1]; 0.98 matches the measured
+# up-crossing deficit of records sampled at 100 Hz in our frequency band
+ADJUSTMENT_FACTOR = 0.98
+EVAL_NODES = 48  # coarse time grid for count matching
+QUAD_DT = 0.05  # pulse spacing in the rate quadrature
+MAX_ITER = 400  # Nelder-Mead iterations per frequency start, five times this per envelope start
 
 # fixed multi-start jitter patterns (multiplicative, applied to the heuristic start)
 _MOD_START_PATTERNS = (
@@ -95,30 +104,6 @@ class TargetRecord:
 
 
 @dataclass(frozen=True)
-class IdentificationConfig:
-    damping_grid: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    sim_replicates: int = 20
-    # discretization adjustment r in [0.75, 1]; 0.98 matches the measured
-    # up-crossing deficit of records sampled at 100 Hz in our frequency band
-    adjustment_factor: float = 0.98
-    seed: int = 0
-    eval_nodes: int = 48  # coarse time grid for count matching
-    quad_dt: float = 0.05  # pulse spacing in the rate quadrature
-    n_starts: int = 5
-    max_iter: int = 400
-
-    def __post_init__(self):
-        if not self.damping_grid:
-            raise ValueError("damping grid must be non-empty")
-        if any(not 0 < z < 1 for z in self.damping_grid):
-            raise ValueError("damping candidates must lie in (0, 1)")
-        if self.sim_replicates < 1:
-            raise ValueError("need at least one simulation replicate")
-        if not 0 < self.adjustment_factor <= 1:
-            raise ValueError("adjustment factor must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class ModulationFit:
     params: ModulationParams
     objective: float
@@ -169,14 +154,13 @@ def _quantile_time(t: np.ndarray, series: np.ndarray, fraction: float) -> float:
     return float(t[min(idx, t.size - 1)])
 
 
-def fit_modulation(record: TargetRecord, config: IdentificationConfig | None = None) -> ModulationFit:
+def fit_modulation(record: TargetRecord) -> ModulationFit:
     """Envelope parameters minimizing the integrated squared energy mismatch.
 
     The onset delay t0 is read off the first energy arrival; the remaining
     five parameters are optimized unconstrained after a log/ordering
     reparameterization, from several deterministic starts.
     """
-    config = config or IdentificationConfig()
     t = record.times
     e_a = record.cumulative_energy
     if e_a.size < 10:
@@ -209,9 +193,9 @@ def fit_modulation(record: TargetRecord, config: IdentificationConfig | None = N
     a1_guess = math.sqrt(0.7 * total / plateau)
     base = np.array([a1_guess, 0.5, 1.0, rise, plateau])
 
-    starts = [np.log(base * np.asarray(p)) for p in _MOD_START_PATTERNS[: config.n_starts]]
+    starts = [np.log(base * np.asarray(p)) for p in _MOD_START_PATTERNS]
     best = _best_of_starts(
-        objective, starts, {"maxiter": config.max_iter * 5, "xatol": 1e-6, "fatol": 1e-12}
+        objective, starts, {"maxiter": MAX_ITER * 5, "xatol": 1e-6, "fatol": 1e-12}
     )
     return ModulationFit(
         params=unpack(best.x), objective=float(best.fun), converged=bool(best.success)
@@ -304,24 +288,20 @@ def mean_upcrossing_rate(
     return float(_rate_at_times(np.array([t]), filt, dt, horizon)[0])
 
 
-def expected_upcrossing_count(
-    ts: np.ndarray, filt: FilterParams, config: IdentificationConfig, ramp_duration: float
-) -> np.ndarray:
+def expected_upcrossing_count(ts: np.ndarray, filt: FilterParams,
+                              ramp_duration: float) -> np.ndarray:
     """N(t) = integral of rate * adjustment over [0, t], on the grid ts."""
-    nu = _rate_at_times(ts, filt, config.quad_dt, ramp_duration)
+    nu = _rate_at_times(ts, filt, QUAD_DT, ramp_duration)
     counts = cumulative_trapezoid(nu, np.diff(ts)) + nu[0] * ts[0]
-    return config.adjustment_factor * counts
+    return ADJUSTMENT_FACTOR * counts
 
 
-def fit_filter_frequencies(
-    record: TargetRecord, zeta_f: float, config: IdentificationConfig | None = None
-) -> FrequencyFit:
+def fit_filter_frequencies(record: TargetRecord, zeta_f: float) -> FrequencyFit:
     """Frequencies minimizing the squared mismatch of cumulative crossing counts."""
-    config = config or IdentificationConfig()
     if record.upcrossing_count[-1] < 5:
         raise ValueError("record has fewer than 5 up-crossings")
     duration = record.duration
-    ts = np.linspace(duration / config.eval_nodes, duration, config.eval_nodes)
+    ts = np.linspace(duration / EVAL_NODES, duration, EVAL_NODES)
     n_a = np.interp(ts, record.times, record.upcrossing_count)
     gaps = np.diff(ts)
 
@@ -331,20 +311,19 @@ def fit_filter_frequencies(
         if (v < math.log(0.2)).any() or (v > math.log(500.0)).any():
             return 1e30
         filt = FilterParams(omega0=math.exp(v[0]), omega_n=math.exp(v[1]), zeta_f=zeta_f)
-        n_x = expected_upcrossing_count(ts, filt, config, duration)
+        n_x = expected_upcrossing_count(ts, filt, duration)
         return float(trapezoid((n_x - n_a) ** 2, gaps))
 
     # crossing slopes at both ends give frequency guesses (rate ~ omega / 2 pi)
     third = duration / 3.0
     early = np.interp(third, record.times, record.upcrossing_count) / third
     late = (record.upcrossing_count[-1] - np.interp(2 * third, record.times, record.upcrossing_count)) / third
-    w0_guess = max(2.0 * math.pi * early / config.adjustment_factor, 0.5)
-    wn_guess = max(2.0 * math.pi * late / config.adjustment_factor, 0.5)
+    w0_guess = max(2.0 * math.pi * early / ADJUSTMENT_FACTOR, 0.5)
+    wn_guess = max(2.0 * math.pi * late / ADJUSTMENT_FACTOR, 0.5)
 
-    starts = [np.log([w0_guess * p0, wn_guess * p1])
-              for p0, p1 in _FREQ_START_PATTERNS[: config.n_starts]]
+    starts = [np.log([w0_guess * p0, wn_guess * p1]) for p0, p1 in _FREQ_START_PATTERNS]
     best = _best_of_starts(
-        objective, starts, {"maxiter": config.max_iter, "xatol": 1e-3, "fatol": 1e-8}
+        objective, starts, {"maxiter": MAX_ITER, "xatol": 1e-3, "fatol": 1e-8}
     )
     return FrequencyFit(
         omega0=float(math.exp(best.x[0])),
@@ -359,30 +338,30 @@ def fit_filter_frequencies(
 # ---------------------------------------------------------------------------
 
 
-def _damping_candidate(record: TargetRecord, config: IdentificationConfig, gi: int,
+def _damping_candidate(record: TargetRecord, seed: int, gi: int,
                        zeta: float) -> tuple[FrequencyFit, float]:
-    """The frequency fit at damping grid[gi] = zeta, and the mismatch of the
-    averaged simulated irregular-extrema counts with the record's."""
-    freq_fit = fit_filter_frequencies(record, zeta, config)
+    """The frequency fit at damping DAMPING_GRID[gi] = zeta, and the mismatch
+    of the averaged simulated irregular-extrema counts with the record's."""
+    freq_fit = fit_filter_frequencies(record, zeta)
     filt = FilterParams(omega0=freq_fit.omega0, omega_n=freq_fit.omega_n, zeta_f=zeta)
     sims = unit_variance_processes(
         filt, record.duration, record.signal.dt,
-        [stream(config.seed, "damping", gi, rep) for rep in range(config.sim_replicates)],
+        [stream(seed, "damping", gi, rep) for rep in range(SIM_REPLICATES)],
     )
     acc = np.zeros(record.times.size)
     for sim in sims:
         acc += count_irregular_extrema(sim)
-    mean_counts = acc / config.sim_replicates
+    mean_counts = acc / SIM_REPLICATES
     return freq_fit, float(trapezoid((mean_counts - record.extrema_count) ** 2,
                                       np.diff(record.times)))
 
 
-def _damping_tasks(record: TargetRecord, config: IdentificationConfig) -> list:
-    return [partial(_damping_candidate, record, config, gi, zeta)
-            for gi, zeta in enumerate(sorted(config.damping_grid))]
+def _damping_tasks(record: TargetRecord, seed: int) -> list:
+    return [partial(_damping_candidate, record, seed, gi, zeta)
+            for gi, zeta in enumerate(DAMPING_GRID)]
 
 
-def fit_damping(record: TargetRecord, config: IdentificationConfig | None = None, *,
+def fit_damping(record: TargetRecord, seed: int = 0, *,
                 candidates: list | None = None) -> DampingFit:
     """Grid search on the damping ratio with a simulation oracle per candidate.
 
@@ -390,31 +369,29 @@ def fit_damping(record: TargetRecord, config: IdentificationConfig | None = None
     the normalized process are simulated, and the averaged cumulative count of
     positive minima and negative maxima is compared with the record's. Ties
     resolve toward smaller damping (the grid is scanned in ascending order).
-    `candidates` are the (frequency fit, mismatch) pairs of the ascending grid
-    when already computed; `identify` computes them alongside the envelope.
+    `seed` names the simulation streams. `candidates` are the (frequency fit,
+    mismatch) pairs of DAMPING_GRID when already computed; `identify` computes
+    them alongside the envelope.
     """
-    config = config or IdentificationConfig()
-    grid = tuple(sorted(config.damping_grid))
     if candidates is None:
-        candidates = run_shared(_damping_tasks(record, config))
+        candidates = run_shared(_damping_tasks(record, seed))
     best_idx, best_mismatch = -1, math.inf
     for gi, (_, mismatch) in enumerate(candidates):
         if mismatch < best_mismatch:
             best_idx, best_mismatch = gi, mismatch
-    return DampingFit(zeta_f=grid[best_idx], frequency_fit=candidates[best_idx][0],
+    return DampingFit(zeta_f=DAMPING_GRID[best_idx], frequency_fit=candidates[best_idx][0],
                       mismatches=tuple(m for _, m in candidates))
 
 
-def identify(record: TargetRecord, config: IdentificationConfig | None = None) -> IdentificationResult:
+def identify(record: TargetRecord, seed: int = 0) -> IdentificationResult:
     """Full identification: the envelope, and the damping with nested frequency fits.
 
     The envelope fit and the per-candidate damping work are independent, so
     they run as one shared task list (see `run_shared`).
     """
-    config = config or IdentificationConfig()
-    mod_fit, *candidates = run_shared([partial(fit_modulation, record, config),
-                                       *_damping_tasks(record, config)])
-    damp_fit = fit_damping(record, config, candidates=candidates)
+    mod_fit, *candidates = run_shared([partial(fit_modulation, record),
+                                       *_damping_tasks(record, seed)])
+    damp_fit = fit_damping(record, seed, candidates=candidates)
     params = GroundMotionParams(
         modulation=mod_fit.params,
         filter=FilterParams(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import N_FEATURES, R4_INDICES
+from .features import N_FEATURES
 from .table import read_table, write_table
 
 DELTA_BRACKET = (-3.0, 3.0)
@@ -138,8 +138,8 @@ def load_model_csv(path) -> PreprocessModel:
     return PreprocessModel(shifts=shifts, deltas=deltas, means=means, stds=stds)
 
 
-def apply(model: PreprocessModel, raw: np.ndarray, view: str = "r13") -> np.ndarray:
-    """Box-Cox plus standardization; view 'r4' selects (L, PGA, V, omega0)."""
+def apply(model: PreprocessModel, raw: np.ndarray) -> np.ndarray:
+    """Box-Cox plus standardization of every component."""
     raw = np.asarray(raw, dtype=float)
     single = raw.ndim == 1
     mat = np.atleast_2d(raw)
@@ -147,8 +147,4 @@ def apply(model: PreprocessModel, raw: np.ndarray, view: str = "r13") -> np.ndar
     for j in range(mat.shape[1]):
         transformed = boxcox(mat[:, j] + model.shifts[j], float(model.deltas[j]))
         out[:, j] = (transformed - model.means[j]) / model.stds[j]
-    if view == "r4":
-        out = out[:, list(R4_INDICES)]
-    elif view != "r13":
-        raise ValueError(f"unknown view {view!r}")
     return out[0] if single else out

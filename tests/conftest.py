@@ -32,7 +32,7 @@ class PoolData:
         return self.raw[self.kept]
 
     def features(self, view="r4"):
-        return prep.apply(self.model, self.raw_kept, view=view)
+        return prep.apply(self.model, self.raw_kept)[:, feat.VIEWS[view]]
 
     def make_pool(self, view="r4") -> Pool:
         return Pool(

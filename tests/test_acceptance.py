@@ -37,7 +37,7 @@ from seisfrag.ground_motion import (
     sigma_f,
     synthesize,
 )
-from seisfrag.identification import IdentificationConfig, TargetRecord, identify
+from seisfrag.identification import TargetRecord, identify
 from seisfrag.kde import KdeModel, kde_pdf, kristan_bandwidth, sample_raw
 from seisfrag.learning import (
     Kernel,
@@ -249,7 +249,7 @@ def test_criterion_04_identification_round_trip():
     for i in range(20):
         sig = synthesize(GroundMotionParams(mod, filt), duration=duration,
                          rng=stream(4, "round-trip", i))
-        result = identify(TargetRecord.from_signal(sig), IdentificationConfig(seed=i))
+        result = identify(TargetRecord.from_signal(sig), seed=i)
         estimates.append([result.params.filter.omega0, result.params.filter.omega_n])
     mean_est = np.mean(estimates, axis=0)
     freq_errs = [

@@ -31,6 +31,7 @@ from seisfrag.cli import (
     read_labels_csv,
     read_model_csv,
 )
+from seisfrag.features import VIEWS
 from seisfrag.ground_motion import (
     SYNTHESIS_VERSION,
     FilterParams,
@@ -93,6 +94,8 @@ class TestConfig:
             RunConfig(preset="7")
         with pytest.raises(ValueError):
             RunConfig(kernel="poly")
+        with pytest.raises(ValueError, match="^feature_set must be one of"):
+            RunConfig(feature_set="r7")
         for key, value in (("cost", 0.0), ("cost", -1.0), ("cost", float("nan")), ("n_bins", 0)):
             with pytest.raises(ValueError, match=f"^{key} must be"):
                 RunConfig(**{key: value})
@@ -467,7 +470,7 @@ class TestKeptPool:
         cfg, out = pipeline_dir  # labelled with feature_set=r4
         ids, raw = read_features_csv(out / "features_5.csv")
         kept = prep.filter_pool(raw[:, 12], cfg.structure.yield_y)
-        fitted = prep.apply(prep.fit(raw[kept]), raw[kept], view=view)
+        fitted = prep.apply(prep.fit(raw[kept]), raw[kept])[:, VIEWS[view]]
         kept_ids, pool = _load_pool(smoke_config(out, feature_set=view), out)
         assert np.array_equal(kept_ids, ids[kept])
         assert pool.features.tobytes() == fitted.tobytes()
@@ -1052,7 +1055,7 @@ class TestIdentifyCommand:
         for path in paths:
             write_signal_csv(path, synthesize(params, rng=np.random.default_rng(1)))
         verdicts = iter([True, False])
-        monkeypatch.setattr(cli, "identify", lambda record, config: IdentificationResult(
+        monkeypatch.setattr(cli, "identify", lambda record, seed: IdentificationResult(
             params=params, converged=next(verdicts)))
         with caplog.at_level(logging.WARNING, logger="seisfrag.cli"):
             dest = cmd_identify(smoke_config(tmp_path / "ident"), paths)

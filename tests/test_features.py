@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seisfrag.features import FEATURE_NAMES, R4_INDICES, extract
+from seisfrag.features import FEATURE_NAMES, VIEWS, extract
 from seisfrag.ground_motion import Signal
 from seisfrag.identification import TargetRecord
 
@@ -13,7 +13,8 @@ THETA = np.array([1.5, 0.7, 1.2, 2.0, 7.0, 40.0, 25.0, 0.3])
 def test_feature_names_and_dimension():
     assert len(FEATURE_NAMES) == 13
     assert FEATURE_NAMES[8] == "pga"
-    assert [FEATURE_NAMES[i] for i in R4_INDICES] == ["lin_disp", "pga", "pgv", "omega0"]
+    assert [FEATURE_NAMES[i] for i in VIEWS["r4"]] == ["lin_disp", "pga", "pgv", "omega0"]
+    assert VIEWS["r13"] == tuple(range(13))
 
 
 def test_constant_signal_closed_forms():

@@ -388,6 +388,15 @@ class TestSignalIO:
         assert back.dt == sig.dt
         assert np.array_equal(back.samples, sig.samples)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_refused_in_both_formats(self, tmp_path, dt):
+        csv_path, bin_path = tmp_path / "sig.csv", tmp_path / "sig.bin"
+        csv_path.write_text(f"dt={dt}\n1.0\n2.0\n")
+        np.array([dt, 1.0, 2.0], dtype="<f8").tofile(bin_path)
+        for read, path in ((read_signal_csv, csv_path), (read_signal_binary, bin_path)):
+            with pytest.raises(ParameterError, match="dt must be positive and finite"):
+                read(path)
+
     def test_signal_validation(self):
         with pytest.raises(ParameterError):
             Signal(dt=0.0, samples=np.ones(3))

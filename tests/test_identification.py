@@ -20,7 +20,6 @@ from seisfrag.ground_motion import (
 from seisfrag import ground_motion, identification
 from seisfrag.identification import (
     FrequencyFit,
-    IdentificationConfig,
     TargetRecord,
     _rate_at_times,
     count_irregular_extrema,
@@ -159,7 +158,7 @@ class TestUpcrossingRate:
         scaled = mean_upcrossing_rate(t / 2, doubled, 0.001, ramp_duration=10.0)
         assert scaled == pytest.approx(2 * base, rel=0.02)
 
-    def test_monte_carlo_count_matches_integral(self):
+    def test_monte_carlo_count_matches_integral(self, monkeypatch):
         filt = FilterParams(omega0=2 * np.pi * 4, omega_n=2 * np.pi * 4, zeta_f=0.4)
         duration = 20.0
         total = 0
@@ -169,13 +168,14 @@ class TestUpcrossingRate:
             total += count_upcrossings(sim.samples)[-1]
         monte_carlo = total / n_seeds
         ts = np.linspace(0.2, duration, 120)
-        config = IdentificationConfig(adjustment_factor=1.0, quad_dt=DT)
-        integral = expected_upcrossing_count(ts, filt, config, duration)[-1]
+        monkeypatch.setattr(identification, "ADJUSTMENT_FACTOR", 1.0)
+        monkeypatch.setattr(identification, "QUAD_DT", DT)
+        integral = expected_upcrossing_count(ts, filt, duration)[-1]
         assert monte_carlo == pytest.approx(integral, rel=0.05)
 
     def test_expected_count_non_decreasing(self):
         ts = np.linspace(0.5, DURATION, 60)
-        counts = expected_upcrossing_count(ts, TRUE_FILTER, IdentificationConfig(), DURATION)
+        counts = expected_upcrossing_count(ts, TRUE_FILTER, DURATION)
         assert np.all(np.diff(counts) >= 0)
 
     def test_rate_undefined_before_first_pulse(self):
@@ -256,12 +256,11 @@ class TestRateKernel:
 
     def test_expected_count_uses_the_kernel(self):
         ts = np.linspace(DURATION / 48, DURATION, 48)
-        config = IdentificationConfig()
-        nu = direct_rate(ts, TRUE_FILTER, config.quad_dt, DURATION)
-        want = config.adjustment_factor * (
+        nu = direct_rate(ts, TRUE_FILTER, identification.QUAD_DT, DURATION)
+        want = identification.ADJUSTMENT_FACTOR * (
             cumulative_trapezoid(nu, ts, initial=0.0) + nu[0] * ts[0]
         )
-        got = expected_upcrossing_count(ts, TRUE_FILTER, config, DURATION)
+        got = expected_upcrossing_count(ts, TRUE_FILTER, DURATION)
         assert np.max(np.abs(got - want) / want) <= 1e-12
 
     @pytest.mark.parametrize("ts", [
@@ -275,7 +274,7 @@ class TestRateKernel:
         with pytest.raises(ValueError):
             _rate_at_times(ts, TRUE_FILTER, 0.05, DURATION)
         with pytest.raises(ValueError):
-            expected_upcrossing_count(ts, TRUE_FILTER, IdentificationConfig(), DURATION)
+            expected_upcrossing_count(ts, TRUE_FILTER, DURATION)
 
 
 def min_loop_rate(ts, filt, quad_dt, ramp_duration):
@@ -395,20 +394,18 @@ class TestArithmeticForms:
 
     def test_frequency_objective_equals_scipy_form(self, monkeypatch):
         record = pseudo_record(22)
-        config = IdentificationConfig()
-        objective, start = captured_objective(
-            monkeypatch, fit_filter_frequencies, record, 0.3, config
-        )
+        objective, start = captured_objective(monkeypatch, fit_filter_frequencies, record, 0.3)
         duration = record.duration
-        ts = np.linspace(duration / config.eval_nodes, duration, config.eval_nodes)
+        nodes = identification.EVAL_NODES
+        ts = np.linspace(duration / nodes, duration, nodes)
         n_a = np.interp(ts, record.times, record.upcrossing_count)
 
         def scipy_form(v):
             if np.any(v < math.log(0.2)) or np.any(v > math.log(500.0)):
                 return 1e30
             filt = FilterParams(omega0=math.exp(v[0]), omega_n=math.exp(v[1]), zeta_f=0.3)
-            nu = min_loop_rate(ts, filt, config.quad_dt, duration)
-            n_x = config.adjustment_factor * (
+            nu = min_loop_rate(ts, filt, identification.QUAD_DT, duration)
+            n_x = identification.ADJUSTMENT_FACTOR * (
                 cumulative_trapezoid(nu, ts, initial=0.0) + nu[0] * ts[0]
             )
             return float(np.trapezoid((n_x - n_a) ** 2, ts))
@@ -467,7 +464,7 @@ class TestFitDamping:
         trials = 20
         for i in range(trials):
             record = pseudo_record(300 + i, filt=filt)
-            fit = fit_damping(record, IdentificationConfig(seed=i))
+            fit = fit_damping(record, i)
             hits += fit.zeta_f in (0.3, 0.4, 0.5)
         assert hits >= 0.9 * trials
 
@@ -476,55 +473,58 @@ class TestFitDamping:
         small = 0
         for i in range(5):
             record = pseudo_record(600 + i, filt=filt)
-            fit = fit_damping(record, IdentificationConfig(seed=i))
+            fit = fit_damping(record, i)
             small += fit.zeta_f == 0.1
         assert small >= 3
 
-    def test_mismatches_equal_per_replicate_loop(self):
+    def test_mismatches_equal_per_replicate_loop(self, monkeypatch):
         record = pseudo_record(31)
-        config = IdentificationConfig(seed=4, damping_grid=(0.2, 0.5), sim_replicates=3)
+        monkeypatch.setattr(identification, "DAMPING_GRID", (0.2, 0.5))
+        monkeypatch.setattr(identification, "SIM_REPLICATES", 3)
         want = []
-        for gi, zeta in enumerate(config.damping_grid):
-            freq = fit_filter_frequencies(record, zeta, config)
+        for gi, zeta in enumerate((0.2, 0.5)):
+            freq = fit_filter_frequencies(record, zeta)
             filt = FilterParams(omega0=freq.omega0, omega_n=freq.omega_n, zeta_f=zeta)
             acc = np.zeros(record.times.size)
-            for rep in range(config.sim_replicates):
+            for rep in range(3):
                 sim = unit_variance_process(
                     filt, record.duration, record.signal.dt, stream(4, "damping", gi, rep)
                 )
                 acc += count_irregular_extrema(sim.samples)
-            mean_counts = acc / config.sim_replicates
+            mean_counts = acc / 3
             want.append(float(np.trapezoid((mean_counts - record.extrema_count) ** 2,
                                            record.times)))
-        assert fit_damping(record, config).mismatches == tuple(want)
+        assert fit_damping(record, 4).mismatches == tuple(want)
 
-    def test_ties_go_to_the_smaller_damping(self):
+    def test_ties_go_to_the_smaller_damping(self, monkeypatch):
+        monkeypatch.setattr(identification, "DAMPING_GRID", (0.2, 0.3, 0.5))
         fits = [FrequencyFit(omega0=k + 1.0, omega_n=1.0, objective=0.0, converged=True)
                 for k in range(3)]
-        config = IdentificationConfig(damping_grid=(0.5, 0.2, 0.3))
-        fit = fit_damping(exact_energy_record(TRUE_MOD), config,
+        fit = fit_damping(exact_energy_record(TRUE_MOD),
                           candidates=list(zip(fits, (2.0, 1.0, 1.0))))
         assert (fit.zeta_f, fit.frequency_fit, fit.mismatches) == (0.3, fits[1], (2.0, 1.0, 1.0))
 
-    def test_single_candidate_grid(self):
+    def test_single_candidate_grid(self, monkeypatch):
         record = pseudo_record(12)
-        fit = fit_damping(record, IdentificationConfig(damping_grid=(0.35,), sim_replicates=2))
-        assert fit.zeta_f == 0.35
+        monkeypatch.setattr(identification, "DAMPING_GRID", (0.35,))
+        monkeypatch.setattr(identification, "SIM_REPLICATES", 2)
+        assert fit_damping(record).zeta_f == 0.35
 
 
 class TestIdentify:
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         record = pseudo_record(21)
-        config = IdentificationConfig(seed=5, damping_grid=(0.2, 0.3, 0.4), sim_replicates=4)
-        first = identify(record, config)
-        second = identify(record, config)
+        monkeypatch.setattr(identification, "DAMPING_GRID", (0.2, 0.3, 0.4))
+        monkeypatch.setattr(identification, "SIM_REPLICATES", 4)
+        first = identify(record, 5)
+        second = identify(record, 5)
         assert first.params == second.params
 
     def test_full_round_trip_energy_and_spectrum(self):
         true_params = GroundMotionParams(TRUE_MOD, TRUE_FILTER)
         source = synthesize(true_params, duration=DURATION, rng=np.random.default_rng(77))
         record = TargetRecord.from_signal(source)
-        result = identify(record, IdentificationConfig(seed=3))
+        result = identify(record, 3)
         theta_hat = GroundMotionParams.from_vector(result.params.as_vector())
 
         # expected energy of the resynthesized family matches the record energy
@@ -575,21 +575,22 @@ def round_trip_record(mod, filt, i) -> TargetRecord:
     return TargetRecord.from_signal(sig)
 
 
-def serial_identify(record, config):
+def serial_identify(record, seed):
     """Envelope, then each damping candidate in grid order, in this process."""
-    mod_fit = fit_modulation(record, config)
+    mod_fit = fit_modulation(record)
+    replicates = identification.SIM_REPLICATES
     fits, mismatches = [], []
-    for gi, zeta in enumerate(sorted(config.damping_grid)):
-        freq = fit_filter_frequencies(record, zeta, config)
+    for gi, zeta in enumerate(identification.DAMPING_GRID):
+        freq = fit_filter_frequencies(record, zeta)
         filt = FilterParams(omega0=freq.omega0, omega_n=freq.omega_n, zeta_f=zeta)
         acc = np.zeros(record.times.size)
-        for rep in range(config.sim_replicates):
+        for rep in range(replicates):
             sim = unit_variance_process(filt, record.duration, record.signal.dt,
-                                        stream(config.seed, "damping", gi, rep))
+                                        stream(seed, "damping", gi, rep))
             acc += count_irregular_extrema(sim.samples)
         fits.append(filt)
         mismatches.append(float(np.trapezoid(
-            (acc / config.sim_replicates - record.extrema_count) ** 2, record.times)))
+            (acc / replicates - record.extrema_count) ** 2, record.times)))
     best = min(range(len(fits)), key=lambda gi: (mismatches[gi], gi))
     params = GroundMotionParams(mod_fit.params, fits[best])
     return params, mod_fit.converged, tuple(mismatches)
@@ -598,7 +599,7 @@ def serial_identify(record, config):
 class TestSharedIdentification:
     """`identify` runs its envelope fit and damping candidates on every core."""
 
-    def identified(self, record, config):
+    def identified(self, record, seed):
         seen = []
         traced = identification.fit_damping
 
@@ -608,7 +609,7 @@ class TestSharedIdentification:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(identification, "fit_damping", recording)
-            result = identify(record, config)
+            result = identify(record, seed)
         assert len(seen) == 1
         return result.params, result.converged, seen[0].mismatches
 
@@ -620,14 +621,13 @@ class TestSharedIdentification:
                   FilterParams(omega0=2 * np.pi * 6, omega_n=2 * np.pi * 3, zeta_f=0.2), 1),
         }[vector]
         record = round_trip_record(mod, filt, i)
-        config = IdentificationConfig(seed=i)
         cores(monkeypatch, 2)
-        shared = self.identified(record, config)
+        shared = self.identified(record, i)
         assert not multiprocessing.active_children()
         cores(monkeypatch, 1)
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        alone = self.identified(record, config)
-        reference = serial_identify(record, config)
+        alone = self.identified(record, i)
+        reference = serial_identify(record, i)
         for params, converged, mismatches in (shared, alone):
             assert params.as_vector().tobytes() == reference[0].as_vector().tobytes()
             assert params.modulation.t0 == reference[0].modulation.t0

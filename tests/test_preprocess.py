@@ -106,9 +106,9 @@ class TestFitApply:
 
     def test_single_row_apply(self, mini_pool):
         row = mini_pool.raw_kept[0]
-        out = prep.apply(mini_pool.model, row, view="r4")
-        assert out.shape == (4,)
-        assert out == pytest.approx(mini_pool.features(view="r4")[0])
+        out = prep.apply(mini_pool.model, row)
+        assert out.shape == (13,)
+        assert out == pytest.approx(mini_pool.features(view="r13")[0])
 
     def test_nonpositive_columns_get_shifted(self):
         rng = np.random.default_rng(3)
@@ -124,10 +124,6 @@ class TestFitApply:
         raw[:, :12] += np.random.default_rng(0).random((100, 12))
         with pytest.raises(ValueError):
             prep.fit(raw)
-
-    def test_unknown_view_rejected(self, mini_pool):
-        with pytest.raises(ValueError):
-            prep.apply(mini_pool.model, mini_pool.raw_kept, view="r7")
 
     def test_model_csv_roundtrip(self, mini_pool, tmp_path):
         path = tmp_path / "prep.csv"
