@@ -116,9 +116,19 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Flat key=value file; every key can be overridden by a flag. Each value
     is converted to the type of its key's default."""
     values = _config_values(path) if path else {}
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs = {f.name: type(f.default)(values.pop(f.name))
-              for f in fields(RunConfig) if f.name in values}
+    sources = dict.fromkeys(values, f"config file {path}")
+    for key, val in overrides.items():
+        if val is not None:
+            values[key], sources[key] = val, f"flag --{key}"
+    kwargs = {}
+    for f in fields(RunConfig):
+        if f.name in values:
+            raw = values.pop(f.name)
+            try:
+                kwargs[f.name] = type(f.default)(raw)
+            except ValueError:
+                raise ValueError(f"{f.name}={raw!r} from {sources[f.name]}: "
+                                 f"expected {type(f.default).__name__}") from None
     if values:
         raise ValueError(f"unknown config keys: {sorted(values)}")
     return RunConfig(**kwargs)
@@ -577,14 +587,20 @@ def cmd_fragility(cfg: RunConfig) -> Path:
 
 
 def cmd_identify(cfg: RunConfig, record_paths: list[str]) -> Path:
+    # every record is read before the first fit, so a bad one costs no fits
+    records = []
+    for position, path in enumerate(record_paths, 1):
+        try:
+            sig = read_signal_csv(path) if str(path).endswith(".csv") else read_signal_binary(path)
+            records.append(TargetRecord.from_signal(sig))
+        except ValueError as exc:
+            raise ValueError(f"record {position} of {len(record_paths)}, {path}: {exc}") from exc
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     import scipy.optimize  # noqa: F401  (loaded before identify forks, as in cmd_generate)
 
     results = []
-    for path in record_paths:
-        sig = read_signal_csv(path) if str(path).endswith(".csv") else read_signal_binary(path)
-        record = TargetRecord.from_signal(sig)
+    for path, record in zip(record_paths, records):
         fit = identify(record, cfg.seed)
         if not fit.converged:
             log.warning("%s: identification did not converge", path)

@@ -333,9 +333,18 @@ def read_signal_csv(path) -> Signal:
         header = fh.readline().strip()
         if not header.startswith("dt="):
             raise ValueError(f"{path}: expected 'dt=<value>' on line 1, got {header!r}")
-        dt = float(header[3:])
-        samples = np.array([float(line) for line in fh if line.strip()])
-    return Signal(dt=dt, samples=samples)
+        try:
+            dt = float(header[3:])
+        except ValueError:
+            raise ValueError(f"{path}: line 1: bad dt {header[3:]!r}") from None
+        samples = []
+        for lineno, line in enumerate(fh, 2):
+            if line.strip():
+                try:
+                    samples.append(float(line))
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: bad sample {line.strip()!r}") from None
+    return Signal(dt=dt, samples=np.array(samples))
 
 
 def write_signal_binary(path, sig: Signal) -> None:

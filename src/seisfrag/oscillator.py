@@ -75,21 +75,13 @@ def _refinement(signal: Signal, omega: float) -> tuple[int, float]:
     return n_sub, signal.dt / n_sub
 
 
-def _forcing(signal: Signal, n_sub: int, dt: float, k0: int, count: int) -> np.ndarray:
-    """Points k0 .. k0 + count - 1 of the forcing -signal on the integration grid."""
-    if n_sub == 1:
-        return -signal.samples[k0 : k0 + count]
-    # the samples around the points, one spare on each side for rounding in k * dt
-    lo = max(k0 // n_sub - 1, 0)
-    hi = min((k0 + count - 1) // n_sub + 3, signal.samples.size)
-    return -np.interp(np.arange(k0, k0 + count) * dt, np.arange(lo, hi) * signal.dt,
-                      signal.samples[lo:hi])
-
-
 def _integration_grid(signal: Signal, omega: float) -> tuple[float, np.ndarray]:
     """Forcing -signal resampled onto a grid fine enough for stable stepping."""
     n_sub, dt = _refinement(signal, omega)
-    return dt, _forcing(signal, n_sub, dt, 0, (signal.samples.size - 1) * n_sub + 1)
+    if n_sub == 1:
+        return dt, -signal.samples
+    n = (signal.samples.size - 1) * n_sub + 1
+    return dt, -np.interp(np.arange(n) * dt, signal.times, signal.samples)
 
 
 def solve_linear(signal: Signal, cfg: StructureConfig) -> Signal:
@@ -102,6 +94,40 @@ def solve_linear(signal: Signal, cfg: StructureConfig) -> Signal:
     return Signal(dt=dt, samples=u)
 
 
+def _bilinear_law(cfg: StructureConfig) -> tuple[float, float, float, float]:
+    """(e, sigma_y, H, e + H): elastic stiffness, yield force and hardening modulus."""
+    e = cfg.omega_l**2
+    a = cfg.hardening_ratio
+    h = a * e / (1.0 - a)
+    return e, e * cfg.yield_y, h, e + h
+
+
+def _return_map(z, eps_p, h_eps, force, xi, work, law) -> None:
+    """The bilinear law in place: the restoring force at z into force, eps_p
+    (and h_eps = H * eps_p) updated, xi and work used as scratch.
+
+    When no trial point lies outside the yield surface, dgamma is 0 for all
+    and the update is skipped: eps_p + (+-0) is eps_p, as eps_p is never -0
+    where it starts from +0, and the force is the trial force. A NaN or
+    infinite xi fails the test and takes the full update.
+    """
+    e, sig_y, h, e_h = law
+    np.subtract(z, eps_p, force)
+    np.multiply(e, force, force)  # trial force
+    np.subtract(force, h_eps, xi)
+    np.abs(xi, work)
+    if np.maximum.reduce(work) <= sig_y:
+        return
+    np.subtract(work, sig_y, work)
+    np.maximum(work, 0.0, out=work)
+    np.divide(work, e_h, work)  # dgamma, zero inside the yield surface
+    np.copysign(work, xi, work)
+    np.add(eps_p, work, eps_p)
+    np.multiply(h, eps_p, h_eps)
+    np.subtract(z, eps_p, force)
+    np.multiply(e, force, force)
+
+
 def bilinear_force(z, eps_p, cfg: StructureConfig):
     """Restoring force and updated plastic displacement for displacement z.
 
@@ -111,16 +137,14 @@ def bilinear_force(z, eps_p, cfg: StructureConfig):
     hardening_ratio * elastic. Works elementwise on arrays of oscillators as
     on scalars.
     """
-    e = cfg.omega_l**2
-    sig_y = e * cfg.yield_y
-    a = cfg.hardening_ratio
-    h = a * e / (1.0 - a)
-    sig_trial = e * (z - eps_p)
-    xi = sig_trial - h * eps_p
-    # zero inside the yield surface, where eps_p and so the force stay as they are
-    dgamma = np.maximum(np.abs(xi) - sig_y, 0.0) / (e + h)
-    eps_p = eps_p + np.copysign(dgamma, xi)
-    return e * (z - eps_p), eps_p
+    law = _bilinear_law(cfg)
+    z, eps_p = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(eps_p, dtype=float))
+    eps_p = eps_p.copy()
+    h_eps, force, xi, work = (np.empty_like(z) for _ in range(4))
+    if z.size:
+        np.multiply(law[2], eps_p, h_eps)
+        _return_map(z, eps_p, h_eps, force, xi, work, law)
+    return force[()], eps_p[()]
 
 
 @dataclass(frozen=True)
@@ -138,6 +162,46 @@ def _recurrence(dt: float, beta: float, omega: float) -> tuple[float, float, flo
     return 2.0 / dt**2, c3, 1.0 / c1, 0.5 * dt**2
 
 
+def _chunk_forcing(signals: list[Signal], n_sub: int, dt: float, k0: int,
+                   out: np.ndarray) -> None:
+    """Points k0 .. k0 + rows - 1 of the forcing -signal on the integration
+    grid, for signals of one sample spacing, into the columns of out (rows x
+    signals, C order). A column is filled for the points its signal's steps
+    read, those before its last sample; the rows below hold stale values.
+
+    The same numbers as np.interp per signal: its bracketing sample j, the
+    sample itself where the point falls on it, else
+    slope * (x - xp[j]) + fp[j] with slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]).
+    j, x - xp[j] and xp[j+1] - xp[j] are shared by the signals; only the
+    samples, copied window by window, differ.
+    """
+    rows = out.shape[0]
+    if n_sub == 1:
+        for c, s in enumerate(signals):
+            piece = s.samples[k0 : k0 + rows]
+            np.negative(piece, out[: piece.size, c])
+        return
+    # the samples around the points, one spare on each side for rounding in k * dt
+    lo = max(k0 // n_sub - 1, 0)
+    hi = (k0 + rows - 1) // n_sub + 3
+    window = np.zeros((hi - lo, len(signals)))
+    for c, s in enumerate(signals):
+        piece = s.samples[lo:hi]
+        window[: piece.size, c] = piece
+    xp = np.arange(lo, hi) * signals[0].dt
+    x = np.arange(k0, k0 + rows) * dt
+    j = np.searchsorted(xp, x, side="right") - 1
+    offset = (x - xp[j])[:, None]
+    lower = window[j]
+    np.take(window, j + 1, axis=0, out=out, mode="clip")
+    out -= lower
+    out /= (xp[j + 1] - xp[j])[:, None]
+    out *= offset
+    out += lower
+    np.copyto(out, lower, where=offset == 0.0)
+    np.negative(out, out)
+
+
 def solve_nonlinear(signals: list[Signal], cfg: StructureConfig,
                     history: list | None = None) -> NonlinearPeaks:
     """Peak relative displacement of the elastoplastic system, from rest, per signal.
@@ -145,8 +209,9 @@ def solve_nonlinear(signals: list[Signal], cfg: StructureConfig,
     One central-difference stepper advances the whole batch on time-major
     state vectors. Signals are stably ordered by step count, longest first,
     so the ones still running are a shrinking prefix. The forcing is built
-    CHUNK_STEPS steps at a time, and each chunk of responses reduces into the
-    running peak |z|. Each signal goes through the operations, in the order,
+    CHUNK_STEPS steps at a time, one pass per sample spacing, and each chunk
+    of responses reduces into the running peak |z|. A step writes into rows
+    allocated once. Each signal goes through the operations, in the order,
     of stepping it alone, so its peak does not depend on the batch.
 
     history, if a list, receives each chunk's responses (steps x the signals
@@ -163,32 +228,56 @@ def solve_nonlinear(signals: list[Signal], cfg: StructureConfig,
     if running:
         two_over, c3, inv_c1, half_dt2 = np.array(
             [_recurrence(grids[i][1], cfg.beta, omega) for i in order[:running]]).T.copy()
+        # columns by sample spacing: each group shares one integration grid
+        spacings: dict[float, list[int]] = {}
+        for c in range(running):
+            spacings.setdefault(signals[order[c]].dt, []).append(c)
+        law = _bilinear_law(cfg)
         blowup = BLOWUP_MULTIPLE * cfg.yield_y
-        forcing = np.empty((CHUNK_STEPS, running))
+        forcing_rows = np.empty(CHUNK_STEPS * running)  # flat: each chunk's view is C order
         zs = np.zeros((CHUNK_STEPS, running))  # z after each step of a chunk
-        z, eps_p, z_prev = np.zeros(running), np.zeros(running), None
+        z, z_prev = np.zeros(running), None
+        eps_p, h_eps = np.zeros(running), np.zeros(running)
+        scratch = np.empty((3, running))
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
             for k0 in range(0, ends[0], CHUNK_STEPS):
                 rows = min(CHUNK_STEPS, ends[0] - k0)
                 width = sum(end > k0 for end in ends)
-                for c in range(width):
-                    i = int(order[c])
-                    count = min(rows, ends[c] - k0)
-                    forcing[:count, c] = _forcing(signals[i], *grids[i], k0, count)
+                forcing = forcing_rows[: rows * width].reshape(rows, width)
+                for cols in spacings.values():
+                    cols = [c for c in cols if c < width]
+                    if not cols:
+                        continue
+                    n_sub, dt = grids[order[cols[0]]]
+                    group = [signals[order[c]] for c in cols]
+                    if len(cols) == width:
+                        _chunk_forcing(group, n_sub, dt, k0, forcing)
+                    else:
+                        block = np.empty((rows, len(cols)))
+                        _chunk_forcing(group, n_sub, dt, k0, block)
+                        forcing[:, cols] = block
                 if z_prev is None:
                     z_prev = half_dt2 * forcing[0]  # startup: z(-dt) from rest
-                n = width
-                for j in range(rows):
-                    if j == 0 or ends[n - 1] <= k0 + j:
-                        while ends[n - 1] <= k0 + j:
-                            n -= 1
-                        z, z_prev, eps_p = z[:n], z_prev[:n], eps_p[:n]
-                        a2, a3, a_inv = two_over[:n], c3[:n], inv_c1[:n]
-                    restoring, eps_p = bilinear_force(z, eps_p, cfg)
-                    z_next = zs[j, :n]
-                    np.multiply(forcing[j, :n] - restoring + a2 * z - a3 * z_prev, a_inv,
-                                out=z_next)
-                    z_prev, z = z, z_next
+                # the chunk in segments over which no signal ends
+                j, n = 0, width
+                while j < rows:
+                    while ends[n - 1] <= k0 + j:
+                        n -= 1
+                    stop = min(rows, ends[n - 1] - k0)
+                    z, z_prev = z[:n], z_prev[:n]
+                    eps, h_e = eps_p[:n], h_eps[:n]
+                    force, xi, work = scratch[:, :n]
+                    a2, a3, a_inv = two_over[:n], c3[:n], inv_c1[:n]
+                    for z_next, f in zip(zs[j:stop, :n], forcing[j:stop, :n]):
+                        _return_map(z, eps, h_e, force, xi, work, law)
+                        np.subtract(f, force, force)
+                        np.multiply(a2, z, work)
+                        np.add(force, work, force)
+                        np.multiply(a3, z_prev, work)
+                        np.subtract(force, work, force)
+                        np.multiply(force, a_inv, z_next)
+                        z_prev, z = z, z_next
+                    j = stop
                 # a column whose signal ended inside the chunk holds that signal's
                 # earlier values (or zeros) below its end, which leave its peak as is
                 chunk_peak = np.abs(zs[:rows, :width]).max(axis=0)

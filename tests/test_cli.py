@@ -4,6 +4,7 @@ import filecmp
 import logging
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -88,6 +89,15 @@ class TestConfig:
         cfg_file.write_text(line + "\n")
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(str(cfg_file), {})
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_bad_value_names_its_key_and_source(self, tmp_path, source):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("seed=7\n" + ("budget=abc\n" if source == "file" else ""))
+        flags = {"budget": "abc"} if source == "flag" else {}
+        where = f"config file {cfg_file}" if source == "file" else "flag --budget"
+        with pytest.raises(ValueError, match=f"^budget='abc' from {re.escape(where)}: expected int$"):
+            load_config(str(cfg_file), flags)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1063,6 +1073,23 @@ class TestIdentifyCommand:
         assert [r.getMessage() for r in caplog.records] == [
             f"{paths[1]}: identification did not converge"
         ]
+
+
+    def test_bad_record_is_refused_before_any_fit(self, tmp_path, monkeypatch):
+        params = GroundMotionParams(
+            ModulationParams(alpha1=1.5, alpha2=0.6, alpha3=1.2, t1=2.0, t2=7.0),
+            FilterParams(omega0=2 * np.pi * 8, omega_n=2 * np.pi * 4, zeta_f=0.3),
+        )
+        paths = [str(tmp_path / name) for name in ("a.csv", "b.csv", "bad.csv")]
+        for path in paths[:2]:
+            write_signal_csv(path, synthesize(params, rng=np.random.default_rng(1)))
+        Path(paths[2]).write_text("dt=nan\n1.0\n2.0\n")
+        fits = []
+        monkeypatch.setattr(cli, "identify", lambda record, seed: fits.append(record))
+        out_dir = tmp_path / "ident"
+        with pytest.raises(ValueError, match=f"^record 3 of 3, {re.escape(paths[2])}: signal dt must be"):
+            cmd_identify(smoke_config(out_dir), paths)
+        assert fits == [] and not out_dir.exists()
 
 
 class TestMainEntry:

@@ -1,6 +1,7 @@
 """Tests for the modulated filtered white-noise signal model."""
 
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -396,6 +397,15 @@ class TestSignalIO:
         for read, path in ((read_signal_csv, csv_path), (read_signal_binary, bin_path)):
             with pytest.raises(ParameterError, match="dt must be positive and finite"):
                 read(path)
+
+    @pytest.mark.parametrize("text, where", [("dt=abc\n1.0\n", "line 1: bad dt 'abc'"),
+                                             ("dt=0.01\n1.0\n\nabc\n", "line 4: bad sample 'abc'")],
+                             ids=["dt", "sample"])
+    def test_csv_parse_error_names_path_and_line(self, tmp_path, text, where):
+        path = tmp_path / "sig.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {where}$"):
+            read_signal_csv(path)
 
     def test_signal_validation(self):
         with pytest.raises(ParameterError):

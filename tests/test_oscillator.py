@@ -1,6 +1,7 @@
 """Tests for the elastoplastic oscillator and its linear twin."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from seisfrag.oscillator import (
     STEPS_PER_PERIOD,
     StructureConfig,
     TimeStepError,
+    _chunk_forcing,
     _refinement,
     bilinear_force,
     nonlinear_history,
@@ -98,9 +100,9 @@ def reference_peaks(signals, cfg):
     return np.array([np.max(np.abs(reference_solve(s, cfg).samples)) for s in signals])
 
 
-def yielding_batch(cfg):
+def ragged_batch(cfg, multiple):
     """Signals of ragged lengths, two of them equal, each scaled to a linear
-    peak of 4 yield displacements."""
+    peak of `multiple` yield displacements."""
     full = [sample_signal(seed=40 + i, alpha1=2.0, duration=d)
             for i, d in enumerate((27.0, 11.0, 9.5, 20.0))]
     cut = [Signal(dt=full[0].dt, samples=full[0].samples[:n]) for n in (1000, 777, 129, 128, 3)]
@@ -108,8 +110,22 @@ def yielding_batch(cfg):
     scaled = []
     for sig in batch:
         l_max = np.max(np.abs(solve_linear(sig, cfg).samples))
-        scaled.append(Signal(dt=sig.dt, samples=(4.0 * cfg.yield_y / l_max) * sig.samples))
+        scaled.append(Signal(dt=sig.dt, samples=(multiple * cfg.yield_y / l_max) * sig.samples))
     return scaled
+
+
+def stepper_batch(cfg, kind):
+    """A ragged batch that yields, one that never yields, or a yielding one
+    whose every signal also comes resampled at half its sample spacing, so
+    that the batch steps on two integration grids."""
+    if kind == "elastic":
+        return ragged_batch(cfg, 0.5)
+    batch = ragged_batch(cfg, 4.0)
+    if kind == "two grids":
+        halves = [Signal(dt=s.dt / 2, samples=np.interp(
+            np.arange(2 * s.samples.size - 1) * (s.dt / 2), s.times, s.samples)) for s in batch]
+        batch = [s for pair in zip(batch, halves) for s in pair]
+    return batch
 
 
 def same_bits(a, b):
@@ -286,18 +302,40 @@ class TestBilinearLaw:
             force_ref = sig_trial if abs(xi) <= sig_y else e * (z[k] - eps_ref)
             assert same_bits(new_eps[k], eps_ref) and same_bits(force[k], force_ref)
 
+    def test_elastic_and_non_finite_points(self):
+        """Inside the yield surface eps_p comes back as it was and the force is
+        the trial force; a NaN or infinite point takes the plastic update."""
+        e = CFG.omega_l**2
+        z = CFG.yield_y * np.linspace(-0.9, 0.9, 7)
+        force, new_eps = bilinear_force(z, np.zeros(7), CFG)
+        assert same_bits(new_eps, np.zeros(7)) and same_bits(force, e * z)
+        for bad in (np.nan, np.inf, -np.inf):
+            with np.errstate(invalid="ignore"):  # inf - inf in the plastic update
+                force, new_eps = bilinear_force(np.append(z, bad), np.zeros(8), CFG)
+            assert same_bits(new_eps[:7], np.zeros(7)) and same_bits(force[:7], e * z)
+            assert not np.isfinite(new_eps[7]) and np.isnan(force[7])
+
+
+# structures whose integration grid splits each 0.01 s sample into n_sub steps
+GRIDS = [(PRESETS["2.5"], 1), (PRESETS["5"], 2), (PRESETS["10"], 4),
+         (StructureConfig(f_l=16.0, yield_y=5e-4), 7)]
+
 
 class TestBatchedStepper:
-    @pytest.mark.parametrize("cfg, n_sub", [(PRESETS["2.5"], 1), (PRESETS["5"], 2),
-                                            (PRESETS["10"], 4),
-                                            (StructureConfig(f_l=16.0, yield_y=5e-4), 7)])
-    def test_ragged_batch_matches_scalar_loop(self, cfg, n_sub):
-        batch = yielding_batch(cfg)
+    @pytest.mark.parametrize("cfg, n_sub", GRIDS)
+    @pytest.mark.parametrize("kind", ["yielding", "elastic", "two grids"])
+    def test_ragged_batch_matches_scalar_loop(self, cfg, n_sub, kind):
+        batch = stepper_batch(cfg, kind)
         assert _refinement(batch[0], cfg.omega_l)[0] == n_sub
-        steps = [(s.samples.size - 1) * n_sub for s in batch]
+        grids = {_refinement(s, cfg.omega_l) for s in batch}
+        assert len(grids) == (2 if kind == "two grids" else 1)
+        steps = [(s.samples.size - 1) * _refinement(s, cfg.omega_l)[0] for s in batch]
         assert max(steps) > 4 * CHUNK_STEPS and any(n % CHUNK_STEPS for n in steps)
         want = reference_peaks(batch, cfg)
-        assert np.all(want > cfg.yield_y)  # every signal yields
+        if kind == "elastic":
+            assert np.all(want < cfg.yield_y)  # no signal ever yields
+        else:
+            assert np.all(want > cfg.yield_y)  # every signal yields
         result = solve_nonlinear(batch, cfg)
         assert same_bits(result.samples, want)
         assert same_bits(result.dt, [reference_solve(s, cfg).dt for s in batch])
@@ -308,10 +346,28 @@ class TestBatchedStepper:
         permuted = solve_nonlinear([batch[i] for i in perm], cfg).samples
         assert same_bits(permuted, want[perm])
 
+    @pytest.mark.parametrize("cfg, n_sub", GRIDS)
+    def test_chunk_forcing_matches_interp(self, cfg, n_sub):
+        """Each chunk's forcing, built in one pass for the batch, equals
+        np.interp over the whole record at every point the stepper reads,
+        chunk edges included."""
+        batch = ragged_batch(cfg, 4.0)
+        sub, dt = _refinement(batch[0], cfg.omega_l)
+        assert sub == n_sub
+        whole = [reference_grid(s, cfg.omega_l)[1] for s in batch]
+        ends = [f.size - 1 for f in whole]
+        for k0 in range(0, max(ends), CHUNK_STEPS):
+            rows = min(CHUNK_STEPS, max(ends) - k0)
+            out = np.empty((rows, len(batch)))
+            _chunk_forcing(batch, n_sub, dt, k0, out)
+            for c, (f, end) in enumerate(zip(whole, ends)):
+                count = min(rows, max(end - k0, 0))
+                assert same_bits(out[:count, c], f[k0 : k0 + count])
+
     @pytest.mark.parametrize("preset", ["2.5", "5", "10"])
     def test_history_matches_scalar_loop(self, preset):
         cfg = PRESETS[preset]
-        for sig in yielding_batch(cfg)[:2]:
+        for sig in ragged_batch(cfg, 4.0)[:2]:
             got, want = nonlinear_history(sig, cfg), reference_solve(sig, cfg)
             assert got.dt == want.dt
             assert same_bits(got.samples, want.samples)
@@ -331,14 +387,32 @@ class TestBatchedStepper:
         both = solve_nonlinear([sig, long], CFG).samples
         assert same_bits(both, reference_peaks([sig, long], CFG))
 
-    @pytest.mark.parametrize("amplitude", [1e12, 1e300])
+    # at 1e308 the response overflows to inf and then NaN inside its first chunk
+    @pytest.mark.parametrize("amplitude", [1e12, 1e300, 1e308])
     def test_one_diverging_signal_fails_the_batch(self, amplitude):
-        batch = yielding_batch(CFG)[:3]
+        batch = ragged_batch(CFG, 4.0)[:3]
         batch.insert(1, Signal(dt=0.01, samples=amplitude * np.ones(1500)))
         with pytest.raises(TimeStepError, match="signal 1 "):
             solve_nonlinear(batch, CFG)
         with pytest.raises(TimeStepError):
             nonlinear_history(batch[1], CFG)
+
+    def test_memory_is_a_few_chunks(self):
+        """No steps x signals array exists: besides its inputs, stepping 200
+        signals at 10 Hz holds at most four chunk-sized float64 arrays."""
+        cfg = PRESETS["10"]
+        rng = np.random.default_rng(11)
+        batch = [Signal(dt=0.01, samples=rng.uniform(0.1, 3.0) * rng.standard_normal(n))
+                 for n in rng.integers(1500, 2500, 200)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            peaks = solve_nonlinear(batch, cfg).samples
+            used = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.any(peaks > cfg.yield_y) and np.any(peaks < cfg.yield_y)
+        assert used <= 4 * CHUNK_STEPS * len(batch) * 8
 
 
 class TestSummarize:
