@@ -591,7 +591,8 @@ def cmd_identify(cfg: RunConfig, record_paths: list[str]) -> Path:
     records = []
     for position, path in enumerate(record_paths, 1):
         try:
-            sig = read_signal_csv(path) if str(path).endswith(".csv") else read_signal_binary(path)
+            csv = Path(path).suffix.lower() == ".csv"
+            sig = read_signal_csv(path) if csv else read_signal_binary(path)
             records.append(TargetRecord.from_signal(sig))
         except ValueError as exc:
             raise ValueError(f"record {position} of {len(record_paths)}, {path}: {exc}") from exc

@@ -184,11 +184,6 @@ def bin_by_projection(values, n_bins: int) -> list[np.ndarray]:
     return groups
 
 
-def kmeans_objective(values, groups) -> float:
-    v = np.asarray(values, dtype=float)
-    return float(sum(np.sum((v[g] - v[g].mean()) ** 2) for g in groups))
-
-
 # ---------------------------------------------------------------------------
 # fragility curves
 # ---------------------------------------------------------------------------
@@ -209,10 +204,6 @@ class FragilityCurve:
     delta_l2: float
     entropy: float
     uncertain_fraction: float
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([b.center for b in self.bins])
 
 
 def delta_l2(bins) -> float:

@@ -159,17 +159,6 @@ def modulating_q(t, m: ModulationParams):
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
-def irf_h(lag, freq: float, zeta_f: float):
-    """Impulse response of the filter: damped sinusoid for lag >= 0, else 0."""
-    lag_arr = np.atleast_1d(np.asarray(lag, dtype=float))
-    wd = freq * math.sqrt(1.0 - zeta_f**2)
-    amp = freq / math.sqrt(1.0 - zeta_f**2)
-    out = np.zeros(lag_arr.shape)
-    pos = lag_arr >= 0
-    out[pos] = amp * np.exp(-zeta_f * freq * lag_arr[pos]) * np.sin(wd * lag_arr[pos])
-    return float(out[0]) if np.isscalar(lag) or np.ndim(lag) == 0 else out
-
-
 def sigma_f(t: float, filt: FilterParams, dt: float) -> float:
     """Standard deviation of the running filtered-noise integral at time t,
     for a frequency ramp that ends at t.
@@ -196,17 +185,16 @@ def _white_noise(rng: np.random.Generator, n: int, dt: float) -> np.ndarray:
     return rng.standard_normal(n) / math.sqrt(dt)
 
 
-def _normalized_response(
-    filt: FilterParams, n: int, dt: float, noise: np.ndarray, truncate_irf: bool = True
-) -> np.ndarray:
+def _normalized_response(filt: FilterParams, n: int, dt: float, noise: np.ndarray) -> np.ndarray:
     """Unit-variance filtered process on an n-point grid for given noise values.
 
     noise holds the white-noise node values w_j (variance 1/dt) in its last
     axis, one realization per row of an (m, n) block; the response at node k
-    is sum_{j<k} h(t_k - t_j, omega(t_j)) * w_j * dt, normalized by the
-    matching left-Riemann sigma. Evaluated by summing shifted diagonals, so
-    each lag costs one vectorized pass, and h and sigma, which do not depend
-    on the noise, once per lag for all rows.
+    is sum_{j<k} h(t_k - t_j, omega(t_j)) * w_j * dt over the lags within the
+    IRF_CUTOFF memory, normalized by the matching left-Riemann sigma.
+    Evaluated by summing shifted diagonals, so each lag costs one vectorized
+    pass, and h and sigma, which do not depend on the noise, once per lag for
+    all rows.
 
     h is the imaginary part of the phasor q_j = amp_j exp((-zeta omega_j +
     i omega_d,j) lag), which one complex multiply per pulse advances by a
@@ -220,10 +208,8 @@ def _normalized_response(
     amp = omegas / math.sqrt(1.0 - zf**2)
     step = np.exp(rate * dt)
 
-    max_lag_steps = n - 1
-    if truncate_irf:
-        lag_cut = IRF_CUTOFF / (zf * float(np.min(omegas)))
-        max_lag_steps = min(max_lag_steps, int(math.ceil(lag_cut / dt)))
+    lag_cut = IRF_CUTOFF / (zf * float(np.min(omegas)))
+    max_lag_steps = min(n - 1, int(math.ceil(lag_cut / dt)))
 
     x = np.zeros(noise.shape)
     s2 = np.zeros(n)
@@ -245,29 +231,21 @@ def _normalized_response(
 
 
 def unit_variance_processes(
-    filt: FilterParams,
-    duration: float,
-    dt: float,
-    rngs: list[np.random.Generator],
-    truncate_irf: bool = True,
+    filt: FilterParams, duration: float, dt: float, rngs: list[np.random.Generator]
 ) -> np.ndarray:
     """One realization of the normalized (un-modulated) filtered process per
     stream, as the rows of an (m, n) array."""
     filt.validate()
     n = int(round(duration / dt)) + 1
     noise = np.array([_white_noise(rng, n, dt) for rng in rngs])
-    return _normalized_response(filt, n, dt, noise, truncate_irf)
+    return _normalized_response(filt, n, dt, noise)
 
 
 def unit_variance_process(
-    filt: FilterParams,
-    duration: float,
-    dt: float,
-    rng: np.random.Generator,
-    truncate_irf: bool = True,
+    filt: FilterParams, duration: float, dt: float, rng: np.random.Generator
 ) -> Signal:
     """One realization of the normalized (un-modulated) filtered process."""
-    samples = unit_variance_processes(filt, duration, dt, [rng], truncate_irf)[0]
+    samples = unit_variance_processes(filt, duration, dt, [rng])[0]
     return Signal(dt=dt, samples=samples)
 
 
@@ -277,7 +255,6 @@ def synthesize(
     dt: float = DEFAULT_DT,
     *,
     rng: np.random.Generator,
-    truncate_irf: bool = True,
 ) -> Signal:
     """Generate one raw (pre-high-pass) signal for the given parameters.
 
@@ -295,7 +272,7 @@ def synthesize(
     if duration < m.t2:
         raise ParameterError(f"duration {duration} shorter than plateau end {m.t2}")
     n = int(round(duration / dt)) + 1
-    y = _normalized_response(params.filter, n, dt, _white_noise(rng, n, dt), truncate_irf)
+    y = _normalized_response(params.filter, n, dt, _white_noise(rng, n, dt))
     q = modulating_q(np.arange(n) * dt, m)
     return Signal(dt=dt, samples=q * y)
 
@@ -324,10 +301,6 @@ def highpass_correct(raw: Signal) -> Signal:
 # ---------------------------------------------------------------------------
 
 
-def write_signal_csv(path, sig: Signal) -> None:
-    atomic_write(path, "".join([f"dt={sig.dt:.17g}\n", *(f"{v:.17g}\n" for v in sig.samples)]))
-
-
 def read_signal_csv(path) -> Signal:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -352,7 +325,10 @@ def write_signal_binary(path, sig: Signal) -> None:
 
 
 def read_signal_binary(path) -> Signal:
-    data = np.fromfile(Path(path), dtype="<f8")
+    raw = np.fromfile(Path(path), dtype=np.uint8)
+    if raw.size % 8:
+        raise ValueError(f"{path}: {raw.size} bytes is not a whole number of float64 values")
+    data = raw.view("<f8")
     if data.size < 2:
         raise ValueError(f"{path}: binary signal needs dt plus at least one sample")
     return Signal(dt=float(data[0]), samples=data[1:])

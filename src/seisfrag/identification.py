@@ -9,7 +9,7 @@ negative maxima over a candidate grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -27,7 +27,7 @@ from .ground_motion import (
 )
 from .rng import stream
 from .runner import run_shared
-from .table import read_table, write_table
+from .table import write_table
 
 ENERGY_ONSET_FRACTION = 1e-12
 # ascending, so that ties resolve toward the smaller damping
@@ -278,16 +278,6 @@ def _rate_at_times(
     return np.sqrt(sdot2) / (2.0 * math.pi)
 
 
-def mean_upcrossing_rate(
-    t: float, filt: FilterParams, dt: float, ramp_duration: float | None = None
-) -> float:
-    """Up-crossing rate at a single time; defaults to a constant-ramp horizon t."""
-    if t < dt:
-        raise ValueError(f"rate undefined before the first pulse (t={t}, dt={dt})")
-    horizon = ramp_duration if ramp_duration is not None else t
-    return float(_rate_at_times(np.array([t]), filt, dt, horizon)[0])
-
-
 def expected_upcrossing_count(ts: np.ndarray, filt: FilterParams,
                               ramp_duration: float) -> np.ndarray:
     """N(t) = integral of rate * adjustment over [0, t], on the grid ts."""
@@ -415,14 +405,3 @@ _CSV_COLUMNS = PARAM_NAMES + ("t0",)
 def write_params_csv(path, params_list) -> None:
     write_table(path, _CSV_COLUMNS, ([*p.as_vector(), p.modulation.t0] for p in params_list))
 
-
-def read_params_csv(path) -> list[GroundMotionParams]:
-    table = read_table(path)
-    if tuple(table.columns) != _CSV_COLUMNS:
-        raise ValueError(f"{path}: unexpected columns {table.columns}")
-    out = []
-    for values in table.floats():
-        params = GroundMotionParams.from_vector(values[:8])
-        modulation = replace(params.modulation, t0=float(values[8]))
-        out.append(replace(params, modulation=modulation))
-    return out

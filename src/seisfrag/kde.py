@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ground_motion import GroundMotionParams, ParameterError
-from .table import read_table, write_table
+from .table import write_table
 
 JITTER_FACTOR = 1e-8
 MAX_REJECTIONS = 1000
@@ -132,25 +132,6 @@ def save_model_csv(path, model: KdeModel) -> None:
         [f"x_{j}" for j in range(model.dim)],
         [*model.points, *model.covariance],
         meta={"beta": model.beta, "regularized": int(model.regularized), "points": model.count},
-    )
-
-
-def load_model_csv(path) -> KdeModel:
-    table = read_table(path)
-    values = table.floats()
-    n = int(table.meta["points"])
-    if values.shape != (n + len(table.columns), len(table.columns)):
-        raise ValueError(f"{path}: incomplete KDE model file")
-    beta = float(table.meta["beta"])
-    pts, cov = values[:n], values[n:]
-    bandwidth = beta**2 * cov
-    return KdeModel(
-        points=pts,
-        covariance=cov,
-        beta=beta,
-        bandwidth=bandwidth,
-        cholesky=np.linalg.cholesky(bandwidth),
-        regularized=bool(int(table.meta["regularized"])),
     )
 
 

@@ -9,7 +9,6 @@ threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import N_FEATURES
-from .table import read_table, write_table
+from .table import write_table
 
 DELTA_BRACKET = (-3.0, 3.0)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -47,14 +47,9 @@ def boxcox(x, delta: float):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def boxcox_loglik(column: np.ndarray, delta: float) -> float:
-    """Profile normal log-likelihood of the transformed data, Jacobian included."""
-    logs = _logs(column)
-    return _loglik(logs, float(np.sum(logs)), delta)
-
-
 def _loglik(logs: np.ndarray, log_sum: float, delta: float) -> float:
-    """boxcox_loglik of the column whose logs and their sum are given."""
+    """Profile normal log-likelihood of the Box-Cox transformed column,
+    Jacobian included, from the column's logs and their sum."""
     y = logs if delta == 0.0 else np.expm1(delta * logs) / delta
     var = float(np.var(y))
     if var <= 0:
@@ -131,11 +126,6 @@ def save_model_csv(path, model: PreprocessModel) -> None:
         ["component", "shift", "delta", "mean", "std"],
         zip(range(model.deltas.size), model.shifts, model.deltas, model.means, model.stds),
     )
-
-
-def load_model_csv(path) -> PreprocessModel:
-    _, shifts, deltas, means, stds = read_table(path).floats().T
-    return PreprocessModel(shifts=shifts, deltas=deltas, means=means, stds=stds)
 
 
 def apply(model: PreprocessModel, raw: np.ndarray) -> np.ndarray:

@@ -56,14 +56,18 @@ def write_table(path, columns, rows, meta: dict | None = None) -> None:
 
 def read_table(path) -> Table:
     meta, columns, rows = {}, None, []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if columns is None and line.startswith("# "):
             key, _, value = line[2:].partition("=")
             meta[key] = value
         elif columns is None:
             columns = line.split(",")
         elif line:
-            rows.append(line.split(","))
+            row = line.split(",")
+            if len(row) != len(columns):
+                raise ValueError(f"{path}: line {lineno}: {len(row)} fields, "
+                                 f"the header has {len(columns)}")
+            rows.append(row)
     if columns is None:
         raise ValueError(f"{path}: no header row")
     return Table(meta, columns, rows)

@@ -1,4 +1,5 @@
-"""Shared fixtures: a moderate 5 Hz pool built once per session."""
+"""Shared fixtures: a moderate 5 Hz pool built once per session, and the
+CSV record writer the tests feed `identify` with."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,15 @@ from seisfrag.kde import kristan_bandwidth, sample_theta
 from seisfrag.learning import Pool
 from seisfrag.oscillator import PRESETS, solve_linear, solve_nonlinear
 from seisfrag.rng import stream
+from seisfrag.table import atomic_write
 
 MINI_POOL_SIZE = 1000
 MINI_POOL_SEED = 11
+
+
+def write_signal_csv(path, sig) -> None:
+    """The record format `read_signal_csv` reads: a dt line, then one sample a line."""
+    atomic_write(path, "".join([f"dt={sig.dt:.17g}\n", *(f"{v:.17g}\n" for v in sig.samples)]))
 
 
 class PoolData:

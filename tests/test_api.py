@@ -1,29 +1,59 @@
-"""Every parameter default in the package is overridden by some call.
+"""Every public function has a production caller, and every parameter
+default in the package is overridden by some call.
+
+A public top-level function or class of `src/seisfrag` must be used in
+`src/`, in `bench/` or in `tests/test_acceptance.py`: a plain name, an
+attribute or an import of its name counts, and so does a string in `bench/`,
+because `bench/tracing.py`'s `TIMED` names the functions the benchmark traces
+by string. Docstrings never count. A function that only unit tests call is a
+test helper and lives in the tests. This keeps, by design:
+- the oracles the acceptance module names: `sigma_f`, `kde_pdf`,
+  `dual_objective`, `auc`, `bilinear_force`, `nonlinear_history`, `summarize`
+  and `response_spectrum`;
+- every function in `TIMED`, such as `unit_variance_process` and
+  `read_signal_csv`.
+Names are matched alone, so a local variable of the same name keeps a
+function too; methods are not checked.
 
 A default that no call in `src/`, `tests/` or `bench/` ever overrides is a
 setting nobody sets: it should be a constant. Calls are matched to a function
 by its name alone, as a plain name or an attribute, so a call of another
 function of the same name counts too; the check can miss a dead default, but
 never flags a live one that is passed by keyword or position.
+
+Both checks report each offender as `module.name (path:line)`.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "seisfrag"
 CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "bench")
+USERS = (ROOT / "src", ROOT / "bench", ROOT / "tests" / "test_acceptance.py")
+STRING_USERS = (ROOT / "bench",)
 
 
+@cache
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _files(roots):
+    for root in roots:
+        yield from [root] if root.is_file() else sorted(root.rglob("*.py"))
+
+
+def _where(path: Path, line: int) -> str:
+    return f"{path.relative_to(ROOT) if path.is_relative_to(ROOT) else path}:{line}"
+
+
 def _defaults(tree: ast.Module, module: str):
-    """(qualified name, function name, position or None, parameter) of every
-    parameter with a default; the position counts the arguments a call passes
-    before it, without the `self` or `cls` of a method, and is None for a
-    keyword-only parameter."""
+    """(qualified name, function name, line, position or None, parameter) of
+    every parameter with a default; the position counts the arguments a call
+    passes before it, without the `self` or `cls` of a method, and is None for
+    a keyword-only parameter."""
     out = []
 
     def visit(node, scope, in_class):
@@ -39,10 +69,11 @@ def _defaults(tree: ast.Module, module: str):
                 positional = args.posonlyargs + args.args
                 first = len(positional) - len(args.defaults)
                 for index in range(first, len(positional)):
-                    out.append((name, child.name, index - bound, positional[index].arg))
+                    out.append((name, child.name, child.lineno, index - bound,
+                                positional[index].arg))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        out.append((name, child.name, None, arg.arg))
+                        out.append((name, child.name, child.lineno, None, arg.arg))
                 visit(child, name, False)
             else:
                 visit(child, scope, in_class)
@@ -54,38 +85,114 @@ def _defaults(tree: ast.Module, module: str):
 def _calls(callers):
     """function name -> [(positional count, keywords, unpacks *args or **kwargs)]."""
     calls = {}
-    for root in callers:
-        for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(_parse(path)):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name is None:
-                    continue
-                unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
-                           or any(k.arg is None for k in node.keywords))
-                keywords = {k.arg for k in node.keywords}
-                calls.setdefault(name, []).append((len(node.args), keywords, unpacks))
+    for path in _files(callers):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((len(node.args), keywords, unpacks))
     return calls
 
 
 def dead_defaults(package: Path, callers) -> list[str]:
-    """`module.function(parameter)` of every default in package that no call
-    under the callers' directories overrides."""
+    """`module.function(parameter) (path:line)` of every default in package
+    that no call under the callers' directories overrides."""
     calls = _calls(callers)
     dead = []
     for path in sorted(package.glob("*.py")):
-        for qualified, name, position, param in _defaults(_parse(path), path.stem):
+        for qualified, name, line, position, param in _defaults(_parse(path), path.stem):
             if not any(unpacks or param in keywords
                        or (position is not None and n_positional > position)
                        for n_positional, keywords, unpacks in calls.get(name, ())):
-                dead.append(f"{qualified}({param})")
+                dead.append(f"{qualified}({param}) ({_where(path, line)})")
     return dead
 
 
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring nodes of the module and of its classes and functions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                out.add(id(first.value))
+    return out
+
+
+def _used_names(users, string_users) -> set[str]:
+    """Every name, attribute and imported name in the users' files, and the
+    dotted parts of every string but a docstring in the string users' files."""
+    used = set()
+    for path in _files(users):
+        tree = _parse(path)
+        strings = any(path.is_relative_to(root) for root in string_users)
+        docstrings = _docstrings(tree) if strings else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+            elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                used.update(node.value.split("."))
+    return used
+
+
+def unused_public_names(package: Path, users, string_users) -> list[str]:
+    """`module.name (path:line)` of every public top-level function or class
+    in package that no file of the users names."""
+    used = _used_names(users, string_users)
+    return [f"{path.stem}.{node.name} ({_where(path, node.lineno)})"
+            for path in sorted(package.glob("*.py"))
+            for node in _parse(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_every_public_function_has_a_production_caller():
+    unused = unused_public_names(PACKAGE, USERS, STRING_USERS)
+    assert not unused, "only tests use:\n" + "\n".join(unused)
+
+
 def test_every_default_is_overridden_by_some_call():
-    assert dead_defaults(PACKAGE, CALLERS) == []
+    dead = dead_defaults(PACKAGE, CALLERS)
+    assert not dead, "no call overrides:\n" + "\n".join(dead)
+
+
+def test_the_check_flags_each_function_only_tests_use(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def tested():\n    return 1\n\n\n"
+        "def called():\n    return 2\n\n\n"
+        "def accepted():\n    return called()\n\n\n"
+        "def attributed():\n    return 3\n\n\n"
+        "def traced():\n    return 4\n\n\n"
+        "class Documented:\n    pass\n\n\n"
+        "def _private():\n    return 5\n"
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text("from pkg.mod import tested\n\ntested()\n")
+    (tests / "test_acceptance.py").write_text(
+        "import pkg.mod\nfrom pkg.mod import accepted as oracle\n\noracle()\npkg.mod.attributed()\n"
+    )
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "trace.py").write_text('"""Documented"""\n\nTIMED = (("mod", "traced"),)\n')
+    users = (package, bench, tests / "test_acceptance.py")
+    assert unused_public_names(package, users, [bench]) == [
+        f"mod.tested ({package / 'mod.py'}:1)",
+        f"mod.Documented ({package / 'mod.py'}:21)",
+    ]
 
 
 def test_the_check_flags_each_default_no_call_overrides(tmp_path):
@@ -97,4 +204,6 @@ def test_the_check_flags_each_default_no_call_overrides(tmp_path):
         "class K:\n    def m(self, d=3, e=4):\n        return d\n"
     )
     (tmp_path / "use.py").write_text("f(0, c=1)\ng(*args)\nK().m(5)\n")
-    assert dead_defaults(package, [tmp_path]) == ["mod.f(b)", "mod.K.m(e)"]
+    where = package / "mod.py"
+    assert dead_defaults(package, [tmp_path]) == [f"mod.f(b) ({where}:1)",
+                                                 f"mod.K.m(e) ({where}:10)"]

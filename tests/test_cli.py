@@ -38,15 +38,15 @@ from seisfrag.ground_motion import (
     FilterParams,
     GroundMotionParams,
     ModulationParams,
-    read_signal_binary,
     synthesize,
-    write_signal_csv,
+    write_signal_binary,
 )
 from seisfrag.identification import IdentificationResult
 from seisfrag.learning import train_svm
 from seisfrag.oscillator import NonlinearPeaks
 from seisfrag.rng import stream_seed
 from seisfrag.table import read_table, write_table
+from conftest import write_signal_csv
 from test_oscillator import reference_solve
 from test_runner import cores, no_fork, two_cores
 from test_tracing import _tracing
@@ -462,10 +462,8 @@ class TestLearn:
     def test_persisted_models_and_transformed_matrix(self, pipeline_dir):
         cfg, out = pipeline_dir
         assert (out / "kde_model.csv").exists()
-        from seisfrag import preprocess as prep
-
-        model = prep.load_model_csv(out / "preprocess_5.csv")
-        assert model.stds.size == 13
+        # one row per feature: component, shift, delta, mean, std
+        assert read_table(out / "preprocess_5.csv").floats().shape == (13, 5)
         lines = (out / "transformed_5_r4.csv").read_text().splitlines()
         kept = read_labels_csv(out / "labels_5.csv")[0].size
         assert len(lines) == kept + 1
@@ -1090,6 +1088,25 @@ class TestIdentifyCommand:
         with pytest.raises(ValueError, match=f"^record 3 of 3, {re.escape(paths[2])}: signal dt must be"):
             cmd_identify(smoke_config(out_dir), paths)
         assert fits == [] and not out_dir.exists()
+
+    def test_record_suffix_is_matched_in_any_case(self, tmp_path, monkeypatch):
+        params = GroundMotionParams(
+            ModulationParams(alpha1=1.5, alpha2=0.6, alpha3=1.2, t1=2.0, t2=7.0),
+            FilterParams(omega0=2 * np.pi * 8, omega_n=2 * np.pi * 4, zeta_f=0.3),
+        )
+        sig = synthesize(params, rng=np.random.default_rng(1))
+        paths = [str(tmp_path / name) for name in ("REC.CSV", "rec.Csv", "rec.bin")]
+        write_signal_csv(paths[0], sig)
+        write_signal_csv(paths[1], sig)
+        write_signal_binary(paths[2], sig)
+        fits = []
+        monkeypatch.setattr(cli, "identify", lambda record, seed: fits.append(record) or
+                            IdentificationResult(params=params, converged=True))
+        cmd_identify(smoke_config(tmp_path / "ident"), paths)
+        assert len(fits) == 3
+        for record in fits:
+            assert record.signal.dt == sig.dt
+            assert np.array_equal(record.signal.samples, sig.samples)
 
 
 class TestMainEntry:

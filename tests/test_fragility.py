@@ -17,12 +17,17 @@ from seisfrag.fragility import (
     delta_l2,
     fit_logistic,
     hybrid_probability,
-    kmeans_objective,
     labeled_only_diagnostic,
     steepness,
 )
 from seisfrag.learning import Kernel, active_learn
 from seisfrag.rng import stream
+
+
+def kmeans_objective(values, groups) -> float:
+    """Within-group sum of squared deviations from each group's mean."""
+    v = np.asarray(values, dtype=float)
+    return float(sum(np.sum((v[g] - v[g].mean()) ** 2) for g in groups))
 
 
 class TestLogistic:
@@ -358,7 +363,8 @@ class TestLabeledOnlyDiagnostic:
         diag = labeled_only_diagnostic(pga[subset], labels[subset], 8)
         reference = curve(labels, (labels == 1).astype(float), pga, 8, "pga")
         interp = np.interp(
-            reference.centers, diag.centers, [b.p_ref for b in diag.bins]
+            [b.center for b in reference.bins], [b.center for b in diag.bins],
+            [b.p_ref for b in diag.bins],
         )
         ref_vals = np.array([b.p_ref for b in reference.bins])
         counts = np.array([b.count for b in reference.bins], dtype=float)

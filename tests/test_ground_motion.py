@@ -16,7 +16,6 @@ from seisfrag.ground_motion import (
     ParameterError,
     Signal,
     highpass_correct,
-    irf_h,
     modulating_q,
     read_signal_binary,
     read_signal_csv,
@@ -25,8 +24,8 @@ from seisfrag.ground_motion import (
     unit_variance_process,
     unit_variance_processes,
     write_signal_binary,
-    write_signal_csv,
 )
+from conftest import write_signal_csv
 
 
 def default_params(alpha1=1.5, zeta=0.3, f0=6.0, fn=4.0):
@@ -112,27 +111,6 @@ def mask_envelope(t: np.ndarray, m: ModulationParams) -> np.ndarray:
     return out
 
 
-class TestIrf:
-    def test_negative_lag_is_zero(self):
-        assert irf_h(-0.1, 10.0, 0.3) == 0.0
-
-    def test_zero_lag_is_zero(self):
-        assert irf_h(0.0, 10.0, 0.3) == 0.0
-
-    def test_undamped_peak(self):
-        omega = 7.0
-        lag = math.pi / (2 * omega)
-        assert irf_h(lag, omega, 0.0) == pytest.approx(omega)
-
-    def test_decay_and_bound(self):
-        omega, zeta = 12.0, 0.25
-        lags = np.linspace(0, 20, 4000)
-        h = irf_h(lags, omega, zeta)
-        bound = omega / math.sqrt(1 - zeta**2)
-        assert np.max(np.abs(h)) <= bound + 1e-12
-        assert abs(irf_h(40.0, omega, zeta)) < 1e-12
-
-
 class TestSigmaF:
     def test_zero_at_t0(self):
         filt = FilterParams(omega0=10.0, omega_n=10.0, zeta_f=0.4)
@@ -183,10 +161,8 @@ def reference_noise(seed, n, dt):
 RESPONSE_TOL = 1e-13
 
 
-def memory_lags(filt, n, dt, truncate_irf):
+def memory_lags(filt, n, dt):
     """The number of lags the convolution sums, as reference_response counts them."""
-    if not truncate_irf:
-        return n - 1
     omega_min = min(filt.omega0, filt.omega_n)
     return min(n - 1, int(math.ceil(8.0 / (filt.zeta_f * omega_min) / dt)))
 
@@ -204,32 +180,28 @@ class TestUnitVarianceProcess:
                                      zeta_f=0.05), 30.0, 2000),
     }
 
-    @pytest.mark.parametrize("truncate_irf", [True, False])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_block_matches_per_lag_loop(self, case, truncate_irf):
+    def test_block_matches_per_lag_loop(self, case):
         filt, duration, min_lags = self.CASES[case]
         n = int(round(duration / self.DT)) + 1
-        assert memory_lags(filt, n, self.DT, truncate_irf) > min_lags
+        assert memory_lags(filt, n, self.DT) > min_lags
         seeds = (3, 8, 21)
         block = unit_variance_processes(
-            filt, duration, self.DT, [np.random.default_rng(s) for s in seeds], truncate_irf
+            filt, duration, self.DT, [np.random.default_rng(s) for s in seeds]
         )
         for row, seed in zip(block, seeds):
-            want = reference_response(filt, n, self.DT, reference_noise(seed, n, self.DT),
-                                      truncate_irf)
+            want = reference_response(filt, n, self.DT, reference_noise(seed, n, self.DT))
             assert np.max(np.abs(row - want)) <= RESPONSE_TOL
 
-    @pytest.mark.parametrize("truncate_irf", [True, False])
-    def test_replicate_rows_equal_single_realizations(self, truncate_irf):
+    def test_replicate_rows_equal_single_realizations(self):
         seeds = (3, 8, 21, 40)
         block = unit_variance_processes(
-            self.FILT, self.DURATION, self.DT,
-            [np.random.default_rng(s) for s in seeds], truncate_irf,
+            self.FILT, self.DURATION, self.DT, [np.random.default_rng(s) for s in seeds]
         )
         assert block.shape == (len(seeds), self.N)
         for row, seed in zip(block, seeds):
             single = unit_variance_process(
-                self.FILT, self.DURATION, self.DT, np.random.default_rng(seed), truncate_irf
+                self.FILT, self.DURATION, self.DT, np.random.default_rng(seed)
             )
             assert np.array_equal(row, single.samples)
 
@@ -290,10 +262,14 @@ class TestSynthesize:
 
     def test_irf_truncation_error_is_small(self):
         p = default_params(zeta=0.15)
-        exact = synthesize(p, rng=np.random.default_rng(9), truncate_irf=False)
-        trunc = synthesize(p, rng=np.random.default_rng(9), truncate_irf=True)
-        scale = np.max(np.abs(exact.samples))
-        assert np.max(np.abs(exact.samples - trunc.samples)) < 1e-3 * scale
+        trunc = synthesize(p, rng=np.random.default_rng(9))
+        n = trunc.samples.size
+        assert memory_lags(p.filter, n, trunc.dt) < n - 1  # the cutoff drops lags
+        full = reference_response(p.filter, n, trunc.dt, reference_noise(9, n, trunc.dt),
+                                  truncate_irf=False)
+        exact = modulating_q(trunc.times, p.modulation) * full
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(exact - trunc.samples)) < 1e-3 * scale
 
     def test_duration_shorter_than_plateau_rejected(self):
         p = default_params()
@@ -388,6 +364,14 @@ class TestSignalIO:
         back = read_signal_binary(path)
         assert back.dt == sig.dt
         assert np.array_equal(back.samples, sig.samples)
+
+    @pytest.mark.parametrize("stray", [1, 3, 7])
+    def test_binary_length_must_be_whole_floats(self, tmp_path, stray):
+        path = tmp_path / "sig.bin"
+        path.write_bytes(np.array([0.01, 1.0, 2.0], dtype="<f8").tobytes() + b"\x00" * stray)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {24 + stray} bytes "
+                                             "is not a whole number of float64 values$"):
+            read_signal_binary(path)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_dt_refused_in_both_formats(self, tmp_path, dt):

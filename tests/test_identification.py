@@ -29,12 +29,11 @@ from seisfrag.identification import (
     fit_filter_frequencies,
     fit_modulation,
     identify,
-    mean_upcrossing_rate,
-    read_params_csv,
     write_params_csv,
 )
-from seisfrag.oscillator import StructureConfig, response_spectrum
+from seisfrag.oscillator import response_spectrum
 from seisfrag.rng import stream
+from seisfrag.table import read_table
 from test_runner import cores, no_fork
 
 TRUE_MOD = ModulationParams(alpha1=1.8, alpha2=0.6, alpha3=1.3, t1=2.5, t2=8.0)
@@ -128,7 +127,7 @@ class TestFitModulation:
 class TestUpcrossingRate:
     def test_narrow_band_limit(self):
         filt = FilterParams(omega0=2 * np.pi * 4, omega_n=2 * np.pi * 4, zeta_f=0.02)
-        rate = mean_upcrossing_rate(30.0, filt, 0.01)
+        rate = _rate_at_times(np.array([30.0]), filt, 0.01, 30.0)[0]
         assert rate == pytest.approx(filt.omega0 / (2 * math.pi), rel=0.03)
 
     def test_stationary_rice_rate(self):
@@ -148,14 +147,15 @@ class TestUpcrossingRate:
         i_hd2 = quad(lambda u: h_dot(u) ** 2, 0, 60, limit=800)[0]
         rice = math.sqrt(i_hd2 / i_h2) / (2 * math.pi)
         filt = FilterParams(omega0=omega, omega_n=omega, zeta_f=zf)
-        assert mean_upcrossing_rate(30.0, filt, 0.001) == pytest.approx(rice, rel=0.03)
+        rate = _rate_at_times(np.array([30.0]), filt, 0.001, 30.0)[0]
+        assert rate == pytest.approx(rice, rel=0.03)
 
     def test_frequency_scaling(self):
         filt = FilterParams(omega0=20.0, omega_n=10.0, zeta_f=0.3)
         doubled = FilterParams(omega0=40.0, omega_n=20.0, zeta_f=0.3)
         t = 12.0
-        base = mean_upcrossing_rate(t, filt, 0.002, ramp_duration=20.0)
-        scaled = mean_upcrossing_rate(t / 2, doubled, 0.001, ramp_duration=10.0)
+        base = _rate_at_times(np.array([t]), filt, 0.002, 20.0)[0]
+        scaled = _rate_at_times(np.array([t / 2]), doubled, 0.001, 10.0)[0]
         assert scaled == pytest.approx(2 * base, rel=0.02)
 
     def test_monte_carlo_count_matches_integral(self, monkeypatch):
@@ -177,10 +177,6 @@ class TestUpcrossingRate:
         ts = np.linspace(0.5, DURATION, 60)
         counts = expected_upcrossing_count(ts, TRUE_FILTER, DURATION)
         assert np.all(np.diff(counts) >= 0)
-
-    def test_rate_undefined_before_first_pulse(self):
-        with pytest.raises(ValueError):
-            mean_upcrossing_rate(0.001, TRUE_FILTER, 0.01)
 
 
 def direct_rate(ts, filt, quad_dt, ramp_duration):
@@ -249,9 +245,9 @@ class TestRateKernel:
     @pytest.mark.parametrize("omega0, omega_n", [(40.0, 12.0), (12.0, 40.0)])
     def test_single_node(self, t, omega0, omega_n):
         filt = FilterParams(omega0=omega0, omega_n=omega_n, zeta_f=0.15)
-        for ramp in (None, 30.0):
-            got = mean_upcrossing_rate(t, filt, 0.01, ramp_duration=ramp)
-            want = direct_rate([t], filt, 0.01, t if ramp is None else ramp)[0]
+        for ramp in (t, 30.0):
+            got = _rate_at_times(np.array([t]), filt, 0.01, ramp)[0]
+            want = direct_rate([t], filt, 0.01, ramp)[0]
             assert abs(got - want) <= 1e-12 * want
 
     def test_expected_count_uses_the_kernel(self):
@@ -652,14 +648,9 @@ class TestParamsCsv:
         ]
         path = tmp_path / "params.csv"
         write_params_csv(path, params)
-        back = read_params_csv(path)
-        assert back == params
+        table = read_table(path)
+        assert np.array_equal(table.floats(),
+                              [[*p.as_vector(), p.modulation.t0] for p in params])
         lines = path.read_bytes().split(b"\n")
         assert lines[0] == b"alpha1,alpha2,alpha3,t1,t2,omega0,omega_n,zeta_f,t0"
         assert len(lines) == 4 and lines[-1] == b"" and b"\r" not in path.read_bytes()
-
-    def test_unexpected_columns_rejected(self, tmp_path):
-        path = tmp_path / "params.csv"
-        path.write_text("alpha1,alpha2\n1,2\n")
-        with pytest.raises(ValueError):
-            read_params_csv(path)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from seisfrag import runner
-from seisfrag.ground_motion import (FilterParams, GroundMotionParams, ModulationParams,
-                                    synthesize, write_signal_csv)
+from seisfrag.ground_motion import FilterParams, GroundMotionParams, ModulationParams, synthesize
+from conftest import write_signal_csv
 
 
 def cores(monkeypatch, n):

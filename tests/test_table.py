@@ -1,6 +1,7 @@
 """Tests for the workspace table codec."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,15 @@ class TestTable:
         back = read_table(path).floats()
         assert back.shape == (5, 3)
         assert np.array_equal(back, values)
+
+    @pytest.mark.parametrize("row", ["1,2,3", "1"])
+    def test_ragged_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "r.csv"
+        path.write_text(f"# kind=test\na,b\n1,2\n\n{row}\n")
+        fields = row.count(",") + 1
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 5: {fields} fields, "
+                                             "the header has 2$"):
+            read_table(path)
 
     def test_header_only_table_has_no_rows(self, tmp_path):
         path = tmp_path / "e.csv"
