@@ -182,7 +182,7 @@ def _feature_row(out: Path, seed: int, kde_model, structure, i: int) -> list:
         sig = highpass_correct(raw)
         write_signal_binary(sig_path, sig)
     lin_disp = float(np.max(np.abs(solve_linear(sig, structure).samples)))
-    return [i, *extract(sig, params.as_vector(), lin_disp).as_array().tolist()]
+    return [i, *extract(sig, params.as_vector(), lin_disp).tolist()]
 
 
 def cmd_generate(cfg: RunConfig) -> Path:
@@ -384,7 +384,7 @@ def _learn_run(cfg: RunConfig, kept_ids, pool: Pool, learn_dir: Path, run: int):
     _write_model_csv(_model_path(learn_dir, run), state.model, kept_ids, cfg.cost,
                      state.unconverged_solves)
     for n in FRAGILITY_SCHEDULE:
-        if n < len(state.labeled_indices):
+        if n < state.model.labels.size:
             _write_model_csv(_model_path(learn_dir, run, n), state.checkpoints[n], kept_ids,
                              cfg.cost)
     prbps = [(e.n_labeled, e.prbp) for e in state.history if e.prbp is not None]
@@ -486,18 +486,22 @@ def _fragility_run(cfg: RunConfig, pool: Pool, fixed_groups: dict, learn_dir: Pa
         return scores, fit_logistic(scores[model.labeled_refs], model.labels).probability(scores)
 
     report, curve_rows = [], []
-    final = _load_model(cfg, _model_path(learn_dir, run), features)
+    final_path = _model_path(learn_dir, run)
+    final = _load_model(cfg, final_path, features)
+    if final.labels.size != cfg.budget:  # its checkpoints are not this config's either
+        raise ValueError(f"{final_path}: {final.labels.size} labeled signals differ from "
+                         f"budget={cfg.budget}: rerun learn")
     final_scores, final_probs = calibrated(final)
     final_curves = {}  # the final model's score curve per bin count
     for n in (n for n in FRAGILITY_SCHEDULE if n <= cfg.budget):
-        if n >= final.labels.size:  # the whole labeled set
+        if n == cfg.budget:  # the whole labeled set
             model, scores, probs = final, final_scores, final_probs
         else:
             model = _load_model(cfg, _model_path(learn_dir, run, n), features, final)
             scores, probs = calibrated(model)
         groups = {"score": bin_by_projection(scores, cfg.n_bins), **fixed_groups}
         curves = {
-            name: curve(labels, probs, values, cfg.n_bins, name, groups[name])
+            name: curve(labels, probs, values, groups[name])
             for name, values in {"score": scores, **fixed}.items()
         }
         if model is final:
@@ -508,8 +512,7 @@ def _fragility_run(cfg: RunConfig, pool: Pool, fixed_groups: dict, learn_dir: Pa
                                   cfg.cost, refs=model.labeled_refs)
             _, lin_probs = calibrated(lin_model)
             hybrid = hybrid_probability(lin_probs, probs)
-            curves["hybrid"] = curve(labels, hybrid, scores, cfg.n_bins, "hybrid",
-                                     groups["score"])
+            curves["hybrid"] = curve(labels, hybrid, scores, groups["score"])
 
         for name, cv in curves.items():
             for metric in ("delta_l2", "entropy", "uncertain_fraction"):
@@ -529,7 +532,8 @@ def _fragility_run(cfg: RunConfig, pool: Pool, fixed_groups: dict, learn_dir: Pa
     fillable = [k for k in SENSITIVITY_BINS if k <= np.unique(final_scores).size]
     for k_bins in fillable:
         if k_bins not in final_curves:
-            final_curves[k_bins] = curve(labels, final_probs, final_scores, k_bins, "score")
+            final_curves[k_bins] = curve(labels, final_probs, final_scores,
+                                         bin_by_projection(final_scores, k_bins))
     return report, curve_rows, {k_bins: final_curves[k_bins].delta_l2 for k_bins in fillable}
 
 

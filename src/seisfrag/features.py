@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ground_motion import PARAM_NAMES, Signal, cumulative_trapezoid, trapezoid
@@ -20,24 +18,9 @@ VIEWS = {
 }
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    theta: np.ndarray  # the 8 model parameters
-    pga: float  # peak ground acceleration, m/s^2
-    pgv: float  # peak ground velocity, m/s
-    pgd: float  # peak ground displacement, m
-    energy: float  # integral of squared acceleration, m^2/s^3
-    lin_disp: float  # peak linear oscillator displacement, m
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(self.theta, dtype=float),
-             [self.pga, self.pgv, self.pgd, self.energy, self.lin_disp]]
-        )
-
-
-def extract(signal: Signal, theta, lin_disp: float) -> FeatureVector:
-    """Assemble the 13-vector for one signal.
+def extract(signal: Signal, theta, lin_disp: float) -> np.ndarray:
+    """The 13-vector of one signal in FEATURE_NAMES order: theta, then PGA
+    (m/s^2), PGV (m/s), PGD (m), energy (m^2/s^3) and lin_disp (m).
 
     The velocity, displacement and energy integrals use the trapezoidal rule
     on the signal grid; lin_disp comes from the oscillator module.
@@ -48,11 +31,8 @@ def extract(signal: Signal, theta, lin_disp: float) -> FeatureVector:
     s = signal.samples
     vel = cumulative_trapezoid(s, signal.dt)
     disp = cumulative_trapezoid(vel, signal.dt)
-    return FeatureVector(
-        theta=theta,
-        pga=float(np.max(np.abs(s))),
-        pgv=float(np.max(np.abs(vel))),
-        pgd=float(np.max(np.abs(disp))),
-        energy=float(trapezoid(s**2, signal.dt)),
-        lin_disp=float(lin_disp),
-    )
+    return np.concatenate([
+        theta,
+        [float(np.max(np.abs(s))), float(np.max(np.abs(vel))), float(np.max(np.abs(disp))),
+         float(trapezoid(s**2, signal.dt)), float(lin_disp)],
+    ])

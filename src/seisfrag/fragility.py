@@ -17,7 +17,6 @@ import numpy as np
 from .rng import stream
 
 SLOPE_CAP = 1e3
-DEFAULT_BINS = 20
 _KMEANS_SEED = 20240  # fixed seeding stream for reproducible binning
 _KMEANS_MAX_ITER = 300
 _NEWTON_TOL = 1e-6  # gradient norm that ends the calibration's Newton iterations
@@ -32,10 +31,8 @@ class LogisticCalibration:
     intercept: float  # b
     separated: bool = False  # slope hit the cap (perfectly separable scores)
 
-    def probability(self, scores) -> np.ndarray | float:
-        s = np.asarray(scores, dtype=float)
-        out = 1.0 / (1.0 + np.exp(np.clip(-self.slope * s + self.intercept, -500, 500)))
-        return float(out) if np.ndim(scores) == 0 else out
+    def probability(self, scores: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(np.clip(-self.slope * scores + self.intercept, -500, 500)))
 
 
 def _log_likelihood(eta: np.ndarray, y01: np.ndarray) -> float:
@@ -199,7 +196,6 @@ class FragilityBin:
 
 @dataclass(frozen=True)
 class FragilityCurve:
-    projection_name: str
     bins: tuple
     delta_l2: float
     entropy: float
@@ -226,25 +222,15 @@ def steepness(bins, phi: str = "entropy") -> float:
     return float(np.sum(counts * vals) / np.sum(counts))
 
 
-def curve(
-    labels,
-    probabilities,
-    projection_values,
-    n_bins: int = DEFAULT_BINS,
-    projection_name: str = "score",
-    groups: list[np.ndarray] | None = None,
-) -> FragilityCurve:
-    """Binned reference and estimated exceedance probabilities plus diagnostics.
-
-    groups, if given, must be bin_by_projection(projection_values, n_bins).
-    """
+def curve(labels, probabilities, projection_values, groups: list[np.ndarray]) -> FragilityCurve:
+    """Reference and estimated exceedance probabilities per bin of groups, the
+    index groups of the projection's bins (see `bin_by_projection`), plus
+    diagnostics."""
     y = np.asarray(labels, dtype=int)
     p = np.asarray(probabilities, dtype=float)
     v = np.asarray(projection_values, dtype=float)
     if not (y.size == p.size == v.size):
         raise ValueError("labels, probabilities and projection must align")
-    if groups is None:
-        groups = bin_by_projection(v, n_bins)
     bins = tuple(
         FragilityBin(
             # one sum over the count each: np.mean's add.reduce and division
@@ -256,7 +242,6 @@ def curve(
         for g in groups
     )
     return FragilityCurve(
-        projection_name=projection_name,
         bins=bins,
         delta_l2=delta_l2(bins),
         entropy=steepness(bins, "entropy"),
@@ -264,10 +249,8 @@ def curve(
     )
 
 
-def hybrid_probability(p_lin, p_rbf) -> np.ndarray:
+def hybrid_probability(p_lin: np.ndarray, p_rbf: np.ndarray) -> np.ndarray:
     """Linear probability where it is confident (<0.05 or >0.95), RBF elsewhere."""
-    p_lin = np.asarray(p_lin, dtype=float)
-    p_rbf = np.asarray(p_rbf, dtype=float)
     confident = (p_lin < 0.05) | (p_lin > 0.95)
     return np.where(confident, p_lin, p_rbf)
 
@@ -283,7 +266,5 @@ def labeled_only_diagnostic(labeled_values, labeled_labels, n_bins: int) -> Frag
     order in which it was queried.
     """
     order = np.argsort(labeled_values, kind="stable")
-    v = np.asarray(labeled_values, dtype=float)[order]
-    y = np.asarray(labeled_labels, dtype=int)[order]
-    n_bins = min(n_bins, np.unique(v).size)
-    return curve(y, y == 1, v, n_bins, "labeled_only_pga")
+    v, y = labeled_values[order], labeled_labels[order]
+    return curve(y, y == 1, v, bin_by_projection(v, min(n_bins, np.unique(v).size)))

@@ -75,6 +75,20 @@ def count_irregular_extrema(samples: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def _require_envelope_data(cumulative_energy: np.ndarray) -> None:
+    """Refuse an energy series that no envelope can be fitted to."""
+    if cumulative_energy.size < 10:
+        raise ValueError("record energy series too short to fit an envelope")
+    if cumulative_energy[-1] <= 0:
+        raise ValueError("record has zero energy")
+
+
+def _require_crossings(upcrossing_count: np.ndarray) -> None:
+    """Refuse a crossing count too small to fit filter frequencies to."""
+    if upcrossing_count[-1] < 5:
+        raise ValueError("record has fewer than 5 up-crossings")
+
+
 @dataclass(frozen=True)
 class TargetRecord:
     """A target accelerogram with the three matched series."""
@@ -86,11 +100,16 @@ class TargetRecord:
 
     @classmethod
     def from_signal(cls, sig: Signal) -> "TargetRecord":
+        """The record of sig, refused with the fits' own messages when a fit
+        would refuse it: so a bad record is refused before any fit runs."""
         energy = cumulative_trapezoid(sig.samples**2, sig.dt)
+        _require_envelope_data(energy)
+        upcrossings = count_upcrossings(sig.samples)
+        _require_crossings(upcrossings)
         return cls(
             signal=sig,
             cumulative_energy=energy,
-            upcrossing_count=count_upcrossings(sig.samples),
+            upcrossing_count=upcrossings,
             extrema_count=count_irregular_extrema(sig.samples),
         )
 
@@ -106,7 +125,6 @@ class TargetRecord:
 @dataclass(frozen=True)
 class ModulationFit:
     params: ModulationParams
-    objective: float
     converged: bool
 
 
@@ -114,7 +132,6 @@ class ModulationFit:
 class FrequencyFit:
     omega0: float
     omega_n: float
-    objective: float
     converged: bool
 
 
@@ -122,7 +139,6 @@ class FrequencyFit:
 class DampingFit:
     zeta_f: float
     frequency_fit: FrequencyFit
-    mismatches: tuple  # per damping-grid candidate
 
 
 @dataclass(frozen=True)
@@ -163,11 +179,8 @@ def fit_modulation(record: TargetRecord) -> ModulationFit:
     """
     t = record.times
     e_a = record.cumulative_energy
-    if e_a.size < 10:
-        raise ValueError("record energy series too short to fit an envelope")
+    _require_envelope_data(e_a)
     total = float(e_a[-1])
-    if total <= 0:
-        raise ValueError("record has zero energy")
 
     onset = int(np.argmax(e_a > ENERGY_ONSET_FRACTION * total))
     t0 = float(t[max(onset - 1, 0)])
@@ -197,9 +210,7 @@ def fit_modulation(record: TargetRecord) -> ModulationFit:
     best = _best_of_starts(
         objective, starts, {"maxiter": MAX_ITER * 5, "xatol": 1e-6, "fatol": 1e-12}
     )
-    return ModulationFit(
-        params=unpack(best.x), objective=float(best.fun), converged=bool(best.success)
-    )
+    return ModulationFit(params=unpack(best.x), converged=bool(best.success))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +299,7 @@ def expected_upcrossing_count(ts: np.ndarray, filt: FilterParams,
 
 def fit_filter_frequencies(record: TargetRecord, zeta_f: float) -> FrequencyFit:
     """Frequencies minimizing the squared mismatch of cumulative crossing counts."""
-    if record.upcrossing_count[-1] < 5:
-        raise ValueError("record has fewer than 5 up-crossings")
+    _require_crossings(record.upcrossing_count)
     duration = record.duration
     ts = np.linspace(duration / EVAL_NODES, duration, EVAL_NODES)
     n_a = np.interp(ts, record.times, record.upcrossing_count)
@@ -318,7 +328,6 @@ def fit_filter_frequencies(record: TargetRecord, zeta_f: float) -> FrequencyFit:
     return FrequencyFit(
         omega0=float(math.exp(best.x[0])),
         omega_n=float(math.exp(best.x[1])),
-        objective=float(best.fun),
         converged=bool(best.success),
     )
 
@@ -346,31 +355,17 @@ def _damping_candidate(record: TargetRecord, seed: int, gi: int,
                                       np.diff(record.times)))
 
 
-def _damping_tasks(record: TargetRecord, seed: int) -> list:
-    return [partial(_damping_candidate, record, seed, gi, zeta)
-            for gi, zeta in enumerate(DAMPING_GRID)]
-
-
-def fit_damping(record: TargetRecord, seed: int = 0, *,
-                candidates: list | None = None) -> DampingFit:
-    """Grid search on the damping ratio with a simulation oracle per candidate.
-
-    For each candidate the frequencies are refitted, replicate realizations of
-    the normalized process are simulated, and the averaged cumulative count of
-    positive minima and negative maxima is compared with the record's. Ties
-    resolve toward smaller damping (the grid is scanned in ascending order).
-    `seed` names the simulation streams. `candidates` are the (frequency fit,
-    mismatch) pairs of DAMPING_GRID when already computed; `identify` computes
-    them alongside the envelope.
+def fit_damping(candidates: list) -> DampingFit:
+    """The damping of least mismatch over DAMPING_GRID, given its candidates:
+    the (frequency fit, mismatch) pair of each grid value, in grid order, as
+    `_damping_candidate` computes it. Ties resolve toward smaller damping
+    (the grid is scanned in ascending order).
     """
-    if candidates is None:
-        candidates = run_shared(_damping_tasks(record, seed))
     best_idx, best_mismatch = -1, math.inf
     for gi, (_, mismatch) in enumerate(candidates):
         if mismatch < best_mismatch:
             best_idx, best_mismatch = gi, mismatch
-    return DampingFit(zeta_f=DAMPING_GRID[best_idx], frequency_fit=candidates[best_idx][0],
-                      mismatches=tuple(m for _, m in candidates))
+    return DampingFit(zeta_f=DAMPING_GRID[best_idx], frequency_fit=candidates[best_idx][0])
 
 
 def identify(record: TargetRecord, seed: int = 0) -> IdentificationResult:
@@ -379,9 +374,10 @@ def identify(record: TargetRecord, seed: int = 0) -> IdentificationResult:
     The envelope fit and the per-candidate damping work are independent, so
     they run as one shared task list (see `run_shared`).
     """
-    mod_fit, *candidates = run_shared([partial(fit_modulation, record),
-                                       *_damping_tasks(record, seed)])
-    damp_fit = fit_damping(record, seed, candidates=candidates)
+    mod_fit, *candidates = run_shared(
+        [partial(fit_modulation, record)]
+        + [partial(_damping_candidate, record, seed, gi, z) for gi, z in enumerate(DAMPING_GRID)])
+    damp_fit = fit_damping(candidates)
     params = GroundMotionParams(
         modulation=mod_fit.params,
         filter=FilterParams(

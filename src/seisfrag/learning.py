@@ -265,9 +265,7 @@ class HistoryEntry:
 
 @dataclass
 class ActiveState:
-    labeled_indices: list
-    labels: list
-    model: SvmModel
+    model: SvmModel  # the latest model; its labeled_refs and labels are the labeled set
     history: list = field(default_factory=list)
     checkpoints: dict = field(default_factory=dict)  # eval_at size -> the model held there
     unconverged_solves: int = 0  # incremental SMO solves that stopped at the update cap
@@ -388,7 +386,7 @@ def active_learn(
     j1, j2 = select_start_points(pool, rng)
     labeled = [j1, j2]
     labels = [int(pool.labels[j1]), int(pool.labels[j2])]
-    state = ActiveState(labeled_indices=labeled, labels=labels, model=None)
+    state = ActiveState(model=None)
     k_cols = np.empty((len(pool), budget))
     k_cols[:, :2] = kernel.matrix(pool.features, pool.features[labeled])
     trainer = _IncrementalSvm(pool.features, kernel, cost, labeled, labels, k_cols[:, :2], budget)

@@ -152,7 +152,7 @@ class NonlinearPeaks:
     """Peak response of each signal of a batch, in the order given."""
 
     samples: np.ndarray  # peak |z| of the elastoplastic system per signal, m
-    dt: np.ndarray  # integration time step per signal, s
+    dt: float  # the batch's integration time step, s; nan for an empty batch
 
 
 def _recurrence(dt: float, beta: float, omega: float) -> tuple[float, float, float, float]:
@@ -206,32 +206,31 @@ def solve_nonlinear(signals: list[Signal], cfg: StructureConfig,
                     history: list | None = None) -> NonlinearPeaks:
     """Peak relative displacement of the elastoplastic system, from rest, per signal.
 
-    One central-difference stepper advances the whole batch on time-major
-    state vectors. Signals are stably ordered by step count, longest first,
-    so the ones still running are a shrinking prefix. The forcing is built
-    CHUNK_STEPS steps at a time, one pass per sample spacing, and each chunk
-    of responses reduces into the running peak |z|. A step writes into rows
-    allocated once. Each signal goes through the operations, in the order,
-    of stepping it alone, so its peak does not depend on the batch.
+    One central-difference stepper advances the whole batch, of one sample
+    spacing and so one integration grid, on time-major state vectors. Signals
+    are stably ordered by step count, longest first, so the ones still running
+    are a shrinking prefix. The forcing is built CHUNK_STEPS steps at a time,
+    and each chunk of responses reduces into the running peak |z|. A step
+    writes into rows allocated once. Each signal goes through the operations,
+    in the order, of stepping it alone, so its peak does not depend on the batch.
 
     history, if a list, receives each chunk's responses (steps x the signals
     running at the chunk's start, in that order); see `nonlinear_history`.
     """
+    spacings = sorted({s.dt for s in signals})
+    if len(spacings) > 1:
+        raise ValueError(f"a batch steps one integration grid, got sample spacings {spacings}")
     omega = cfg.omega_l
-    grids = [_refinement(s, omega) for s in signals]
-    steps = np.array([(s.samples.size - 1) * n_sub for s, (n_sub, _) in zip(signals, grids)],
-                     dtype=np.int64)
+    n_sub, dt = _refinement(signals[0], omega) if signals else (1, math.nan)
+    steps = np.array([(s.samples.size - 1) * n_sub for s in signals], dtype=np.int64)
     order = np.argsort(-steps, kind="stable")
     ends = steps[order].tolist()
     running = int(np.count_nonzero(steps))
     peak = np.zeros(len(signals))
     if running:
-        two_over, c3, inv_c1, half_dt2 = np.array(
-            [_recurrence(grids[i][1], cfg.beta, omega) for i in order[:running]]).T.copy()
-        # columns by sample spacing: each group shares one integration grid
-        spacings: dict[float, list[int]] = {}
-        for c in range(running):
-            spacings.setdefault(signals[order[c]].dt, []).append(c)
+        # 0-d arrays: a ufunc converts a float operand again on every step
+        two_over, c3, inv_c1, half_dt2 = map(np.array, _recurrence(dt, cfg.beta, omega))
+        ordered = [signals[i] for i in order[:running]]
         law = _bilinear_law(cfg)
         blowup = BLOWUP_MULTIPLE * cfg.yield_y
         forcing_rows = np.empty(CHUNK_STEPS * running)  # flat: each chunk's view is C order
@@ -244,18 +243,7 @@ def solve_nonlinear(signals: list[Signal], cfg: StructureConfig,
                 rows = min(CHUNK_STEPS, ends[0] - k0)
                 width = sum(end > k0 for end in ends)
                 forcing = forcing_rows[: rows * width].reshape(rows, width)
-                for cols in spacings.values():
-                    cols = [c for c in cols if c < width]
-                    if not cols:
-                        continue
-                    n_sub, dt = grids[order[cols[0]]]
-                    group = [signals[order[c]] for c in cols]
-                    if len(cols) == width:
-                        _chunk_forcing(group, n_sub, dt, k0, forcing)
-                    else:
-                        block = np.empty((rows, len(cols)))
-                        _chunk_forcing(group, n_sub, dt, k0, block)
-                        forcing[:, cols] = block
+                _chunk_forcing(ordered[:width], n_sub, dt, k0, forcing)
                 if z_prev is None:
                     z_prev = half_dt2 * forcing[0]  # startup: z(-dt) from rest
                 # the chunk in segments over which no signal ends
@@ -267,15 +255,14 @@ def solve_nonlinear(signals: list[Signal], cfg: StructureConfig,
                     z, z_prev = z[:n], z_prev[:n]
                     eps, h_e = eps_p[:n], h_eps[:n]
                     force, xi, work = scratch[:, :n]
-                    a2, a3, a_inv = two_over[:n], c3[:n], inv_c1[:n]
                     for z_next, f in zip(zs[j:stop, :n], forcing[j:stop, :n]):
                         _return_map(z, eps, h_e, force, xi, work, law)
                         np.subtract(f, force, force)
-                        np.multiply(a2, z, work)
+                        np.multiply(two_over, z, work)
                         np.add(force, work, force)
-                        np.multiply(a3, z_prev, work)
+                        np.multiply(c3, z_prev, work)
                         np.subtract(force, work, force)
-                        np.multiply(force, a_inv, z_next)
+                        np.multiply(force, inv_c1, z_next)
                         z_prev, z = z, z_next
                     j = stop
                 # a column whose signal ended inside the chunk holds that signal's
@@ -283,14 +270,13 @@ def solve_nonlinear(signals: list[Signal], cfg: StructureConfig,
                 chunk_peak = np.abs(zs[:rows, :width]).max(axis=0)
                 if not np.all(chunk_peak <= blowup):
                     bad = int(order[np.argmin(chunk_peak <= blowup)])
-                    raise TimeStepError(
-                        f"nonlinear response of signal {bad} diverged (dt={grids[bad][1]})")
+                    raise TimeStepError(f"nonlinear response of signal {bad} diverged (dt={dt})")
                 np.maximum(peak[:width], chunk_peak, out=peak[:width])
                 if history is not None:
                     history.append(zs[:rows, :width].copy())
     out = np.empty_like(peak)
     out[order] = peak
-    return NonlinearPeaks(samples=out, dt=np.array([dt for _, dt in grids], dtype=float))
+    return NonlinearPeaks(samples=out, dt=dt)
 
 
 def nonlinear_history(signal: Signal, cfg: StructureConfig) -> Signal:
@@ -298,7 +284,7 @@ def nonlinear_history(signal: Signal, cfg: StructureConfig) -> Signal:
     chunks: list[np.ndarray] = []
     result = solve_nonlinear([signal], cfg, history=chunks)
     samples = np.concatenate([[0.0], *(chunk[:, 0] for chunk in chunks)])
-    return Signal(dt=float(result.dt[0]), samples=samples)
+    return Signal(dt=result.dt, samples=samples)
 
 
 def summarize(signal: Signal, cfg: StructureConfig) -> ResponseSummary:

@@ -58,7 +58,7 @@ def build_pool_data(preset_name, size, seed) -> PoolData:
         params = sample_theta(kde_model, stream(seed, "theta", i))
         sig = highpass_correct(synthesize(params, rng=stream(seed, "signal", i)))
         lin = float(np.max(np.abs(solve_linear(sig, cfg).samples)))
-        rows.append(feat.extract(sig, params.as_vector(), lin).as_array())
+        rows.append(feat.extract(sig, params.as_vector(), lin))
         signals.append(sig)
     raw = np.vstack(rows)
     kept = prep.filter_pool(raw[:, 12], cfg.yield_y)

@@ -1,5 +1,7 @@
-"""Every public function has a production caller, and every parameter
-default in the package is overridden by some call.
+"""Every public function has a production caller, every field of a class
+is read, and every parameter default in the package is overridden by some
+call, all by the production code: `src/`, `bench/` and
+`tests/test_acceptance.py`. What only unit tests use is dead surface.
 
 A public top-level function or class of `src/seisfrag` must be used in
 `src/`, in `bench/` or in `tests/test_acceptance.py`: a plain name, an
@@ -15,13 +17,21 @@ test helper and lives in the tests. This keeps, by design:
 Names are matched alone, so a local variable of the same name keeps a
 function too; methods are not checked.
 
-A default that no call in `src/`, `tests/` or `bench/` ever overrides is a
-setting nobody sets: it should be a constant. Calls are matched to a function
-by its name alone, as a plain name or an attribute, so a call of another
-function of the same name counts too; the check can miss a dead default, but
-never flags a live one that is passed by keyword or position.
+An annotated field of a class in `src/seisfrag` must be read: loaded as an
+attribute in `src/`, in `bench/` or in `tests/test_acceptance.py`, or named
+by a string other than a docstring in `src/` or `bench/`, as `cli` names the
+curve metrics it reads with `getattr`. Fields are matched by name alone, so a
+field shares the reads of every attribute of its name: the check can miss an
+unread field, but never flags a read one.
 
-Both checks report each offender as `module.name (path:line)`.
+A default that no call in `src/`, `bench/` or `tests/test_acceptance.py`
+overrides is a setting nobody sets: it should be a constant. Calls are
+matched to a function by its name alone, as a plain name or an attribute, so
+a call of another function of the same name counts too; the check can miss a
+dead default, but never flags a live one that is passed by keyword or
+position.
+
+The checks report each offender as `module.name (path:line)`.
 """
 
 import ast
@@ -30,9 +40,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "seisfrag"
-CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "bench")
 USERS = (ROOT / "src", ROOT / "bench", ROOT / "tests" / "test_acceptance.py")
 STRING_USERS = (ROOT / "bench",)
+FIELD_STRING_USERS = (ROOT / "src", ROOT / "bench")
 
 
 @cache
@@ -125,25 +135,50 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return out
 
 
+def _string_parts(path: Path, string_users) -> set[str]:
+    """The dotted parts of every string but a docstring in path, if it is a
+    file of the string users, else none."""
+    if not any(path.is_relative_to(root) for root in string_users):
+        return set()
+    tree = _parse(path)
+    docstrings = _docstrings(tree)
+    return {part for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings
+            for part in node.value.split(".")}
+
+
 def _used_names(users, string_users) -> set[str]:
     """Every name, attribute and imported name in the users' files, and the
     dotted parts of every string but a docstring in the string users' files."""
     used = set()
     for path in _files(users):
-        tree = _parse(path)
-        strings = any(path.is_relative_to(root) for root in string_users)
-        docstrings = _docstrings(tree) if strings else set()
-        for node in ast.walk(tree):
+        used |= _string_parts(path, string_users)
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.update(node.name.split("."))
-            elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and id(node) not in docstrings):
-                used.update(node.value.split("."))
     return used
+
+
+def unread_fields(package: Path, users, string_users) -> list[str]:
+    """`module.Class.field (path:line)` of every annotated field of a class in
+    package whose name no file of the users loads as an attribute and no
+    string of the string users' files names."""
+    read = set()
+    for path in _files(users):
+        read |= _string_parts(path, string_users)
+        read.update(node.attr for node in ast.walk(_parse(path))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return [f"{path.stem}.{cls.name}.{stmt.target.id} ({_where(path, stmt.lineno)})"
+            for path in sorted(package.glob("*.py"))
+            for cls in ast.walk(_parse(path)) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
 
 
 def unused_public_names(package: Path, users, string_users) -> list[str]:
@@ -162,8 +197,13 @@ def test_every_public_function_has_a_production_caller():
     assert not unused, "only tests use:\n" + "\n".join(unused)
 
 
+def test_every_field_is_read():
+    unread = unread_fields(PACKAGE, USERS, FIELD_STRING_USERS)
+    assert not unread, "nothing reads:\n" + "\n".join(unread)
+
+
 def test_every_default_is_overridden_by_some_call():
-    dead = dead_defaults(PACKAGE, CALLERS)
+    dead = dead_defaults(PACKAGE, USERS)
     assert not dead, "no call overrides:\n" + "\n".join(dead)
 
 
@@ -207,3 +247,25 @@ def test_the_check_flags_each_default_no_call_overrides(tmp_path):
     where = package / "mod.py"
     assert dead_defaults(package, [tmp_path]) == [f"mod.f(b) ({where}:1)",
                                                  f"mod.K.m(e) ({where}:10)"]
+
+
+def test_the_check_flags_each_field_nothing_reads(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Fit:\n    \"\"\"unread\"\"\"\n\n"
+        "    accepted: float\n    named: float\n    tested: float\n    unread: float\n\n\n"
+        "def report(fit):\n    fit.unread = 0.0\n"
+        "    return [getattr(fit, metric) for metric in (\"fit.named\",)]\n"
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text("def test_fit(fit):\n    assert fit.tested\n")
+    (tests / "test_acceptance.py").write_text(
+        "def test_fit(fit):\n    assert fit.accepted == \"tested\"\n"
+    )
+    users = (package, tests / "test_acceptance.py")
+    where = package / "mod.py"
+    assert unread_fields(package, users, [package]) == [f"mod.Fit.tested ({where}:10)",
+                                                       f"mod.Fit.unread ({where}:11)"]

@@ -38,6 +38,7 @@ from seisfrag.ground_motion import (
     FilterParams,
     GroundMotionParams,
     ModulationParams,
+    Signal,
     synthesize,
     write_signal_binary,
 )
@@ -325,7 +326,7 @@ class TestLabels:
         def one_by_one(signals, structure):
             calls.append(len(signals))
             peaks = [np.max(np.abs(reference_solve(s, structure).samples)) for s in signals]
-            return NonlinearPeaks(samples=np.array(peaks), dt=np.zeros(len(signals)))
+            return NonlinearPeaks(samples=np.array(peaks), dt=0.0)
 
         monkeypatch.setattr(cli, "solve_nonlinear", one_by_one)
         cmd_labels(smoke_config(scalar))
@@ -646,6 +647,18 @@ class TestFragility:
         with pytest.raises(FileNotFoundError, match=r"model_run01_n20\.csv is missing: rerun learn"):
             cmd_fragility(smoke_config(copy))
 
+    @pytest.mark.parametrize("budget", [20, 50])
+    def test_refuses_final_model_of_another_budget(self, pipeline_dir, tmp_path, budget):
+        """learn ran at budget 25: a fragility of another budget would take
+        its final curves, and its checkpoints from 25 on, from that model."""
+        _, out = pipeline_dir
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        with pytest.raises(ValueError, match=rf"model_run0[01]\.csv: 25 labeled signals differ "
+                                             rf"from budget={budget}: rerun learn"):
+            cmd_fragility(smoke_config(copy, budget=budget))
+        assert not (copy / "fragility_5_linear_r4" / "report.txt").exists()
+
     def test_refuses_checkpoint_of_another_sequence(self, pipeline_dir, tmp_path):
         _, out = pipeline_dir
         copy = tmp_path / "copy"
@@ -781,8 +794,10 @@ class TestFragility:
                                                            monkeypatch):
         _, out = pipeline_dir
 
-        def rebinning(labels, probabilities, values, n_bins, name, groups=None):
-            return fragility.curve(labels, probabilities, values, n_bins, name)
+        def rebinning(labels, probabilities, values, groups):
+            # no bin of the smoke curves is left empty, so len(groups) is their bin count
+            return fragility.curve(labels, probabilities, values,
+                                   fragility.bin_by_projection(values, len(groups)))
 
         monkeypatch.setattr(cli, "curve", rebinning)
         copy = tmp_path / "copy"
@@ -1086,6 +1101,27 @@ class TestIdentifyCommand:
         monkeypatch.setattr(cli, "identify", lambda record, seed: fits.append(record))
         out_dir = tmp_path / "ident"
         with pytest.raises(ValueError, match=f"^record 3 of 3, {re.escape(paths[2])}: signal dt must be"):
+            cmd_identify(smoke_config(out_dir), paths)
+        assert fits == [] and not out_dir.exists()
+
+    @pytest.mark.parametrize("samples, message", [
+        (np.ones(9), "record energy series too short to fit an envelope"),
+        (np.zeros(2000), "record has zero energy"),
+        (np.sin(2 * np.pi * 0.15 * np.arange(2000) * 0.01), "record has fewer than 5 up-crossings"),
+    ])
+    def test_record_a_fit_would_refuse_costs_no_fits(self, tmp_path, monkeypatch, samples,
+                                                      message):
+        params = GroundMotionParams(
+            ModulationParams(alpha1=1.5, alpha2=0.6, alpha3=1.2, t1=2.0, t2=7.0),
+            FilterParams(omega0=2 * np.pi * 8, omega_n=2 * np.pi * 4, zeta_f=0.3),
+        )
+        paths = [str(tmp_path / name) for name in ("good.bin", "flat.csv")]
+        write_signal_binary(paths[0], synthesize(params, rng=np.random.default_rng(1)))
+        write_signal_csv(paths[1], Signal(dt=0.01, samples=samples))
+        fits = []
+        monkeypatch.setattr(cli, "identify", lambda record, seed: fits.append(record))
+        out_dir = tmp_path / "ident"
+        with pytest.raises(ValueError, match=f"^record 2 of 2, {re.escape(paths[1])}: {message}$"):
             cmd_identify(smoke_config(out_dir), paths)
         assert fits == [] and not out_dir.exists()
 

@@ -234,7 +234,7 @@ class TestBinningBits:
             values = binning_values(kind, n, rng)
             labels = np.where(rng.random(n) < 0.2, 1, -1)
             probabilities = rng.random(n) ** 4
-            cv = curve(labels, probabilities, values, n_bins)
+            cv = curve(labels, probabilities, values, bin_by_projection(values, n_bins))
             assert cv.bins == tuple(
                 FragilityBin(
                     center=float(np.mean(values[g])),
@@ -282,13 +282,13 @@ class TestCurve:
         projection = rng.standard_normal(500)
         labels = np.where(projection > 0.3, 1, -1)
         probabilities = (labels == 1).astype(float)
-        cv = curve(labels, probabilities, projection, 10)
+        cv = curve(labels, probabilities, projection, bin_by_projection(projection, 10))
         assert cv.delta_l2 == pytest.approx(0.0, abs=1e-12)
 
     def test_all_negative_pool_flat_zero(self):
         projection = np.linspace(0, 1, 200)
         labels = -np.ones(200, dtype=int)
-        cv = curve(labels, np.zeros(200), projection, 5)
+        cv = curve(labels, np.zeros(200), projection, bin_by_projection(projection, 5))
         assert cv.delta_l2 == 0.0
         assert all(b.p_ref == 0.0 and b.p_est == 0.0 for b in cv.bins)
 
@@ -296,7 +296,7 @@ class TestCurve:
         rng = np.random.default_rng(7)
         projection = rng.standard_normal(300)
         labels = np.where(rng.random(300) < 0.2, 1, -1)
-        cv = curve(labels, rng.random(300), projection, 12)
+        cv = curve(labels, rng.random(300), projection, bin_by_projection(projection, 12))
         assert sum(b.count for b in cv.bins) == 300
         assert all(0.0 <= b.p_ref <= 1.0 and 0.0 <= b.p_est <= 1.0 for b in cv.bins)
 
@@ -305,7 +305,7 @@ class TestCurve:
         scores = np.sort(rng.standard_normal(400))
         cal = LogisticCalibration(slope=2.0, intercept=0.1)
         labels = np.where(rng.random(400) < cal.probability(scores), 1, -1)
-        cv = curve(labels, cal.probability(scores), scores, 10)
+        cv = curve(labels, cal.probability(scores), scores, bin_by_projection(scores, 10))
         estimates = [b.p_est for b in cv.bins]
         assert all(a <= b + 1e-12 for a, b in zip(estimates, estimates[1:]))
 
@@ -342,7 +342,7 @@ class TestHybrid:
         assert hybrid_probability(0.5, 0.3) == pytest.approx(0.3)
 
     def test_vectorized(self):
-        p = hybrid_probability([0.02, 0.5, 0.97], [0.4, 0.3, 0.2])
+        p = hybrid_probability(np.array([0.02, 0.5, 0.97]), np.array([0.4, 0.3, 0.2]))
         assert p == pytest.approx([0.02, 0.3, 0.97])
 
 
@@ -361,7 +361,7 @@ class TestLabeledOnlyDiagnostic:
         pga = mini_pool.raw_kept[:, 8]
         subset = rng.choice(labels.size, 200, replace=False)
         diag = labeled_only_diagnostic(pga[subset], labels[subset], 8)
-        reference = curve(labels, (labels == 1).astype(float), pga, 8, "pga")
+        reference = curve(labels, (labels == 1).astype(float), pga, bin_by_projection(pga, 8))
         interp = np.interp(
             [b.center for b in reference.bins], [b.center for b in diag.bins],
             [b.p_ref for b in diag.bins],
@@ -375,7 +375,7 @@ class TestLabeledOnlyDiagnostic:
         pool = mini_pool.make_pool()
         state = active_learn(pool, Kernel("linear"), 150, stream(77, "al"))
         diag = labeled_only_diagnostic(
-            pool.raw_pga[state.labeled_indices], state.labels, 10
+            pool.raw_pga[state.model.labeled_refs], state.model.labels, 10
         )
         mean_bin_probability = float(np.mean([b.p_ref for b in diag.bins]))
         pool_rate = float(np.mean(mini_pool.labels == 1))
@@ -385,7 +385,7 @@ class TestLabeledOnlyDiagnostic:
     def test_permuted_labeled_set_gives_the_same_curve(self, mini_pool):
         pool = mini_pool.make_pool()
         state = active_learn(pool, Kernel("linear"), 150, stream(77, "al"))
-        values, labels = pool.raw_pga[state.labeled_indices], np.array(state.labels)
+        values, labels = pool.raw_pga[state.model.labeled_refs], state.model.labels
         diag = labeled_only_diagnostic(values, labels, 10)
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(labels.size)

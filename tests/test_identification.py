@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from seisfrag.identification import (
 )
 from seisfrag.oscillator import response_spectrum
 from seisfrag.rng import stream
+from seisfrag.runner import run_shared
 from seisfrag.table import read_table
 from test_runner import cores, no_fork
 
@@ -59,6 +61,23 @@ def pseudo_record(seed, mod=TRUE_MOD, filt=TRUE_FILTER) -> TargetRecord:
     sig = synthesize(GroundMotionParams(mod, filt), duration=DURATION,
                      rng=np.random.default_rng(seed))
     return TargetRecord.from_signal(sig)
+
+
+def unchecked_record(sig: Signal) -> TargetRecord:
+    """The record of sig, built without the checks of `TargetRecord.from_signal`."""
+    return TargetRecord(
+        signal=sig,
+        cumulative_energy=cumulative_trapezoid(sig.samples**2, dx=sig.dt, initial=0.0),
+        upcrossing_count=count_upcrossings(sig.samples),
+        extrema_count=count_irregular_extrema(sig.samples),
+    )
+
+
+def damping_candidates(record, seed=0) -> list:
+    """The (frequency fit, mismatch) pair of every DAMPING_GRID value, as
+    `identify` computes them."""
+    return run_shared([partial(identification._damping_candidate, record, seed, gi, zeta)
+                       for gi, zeta in enumerate(identification.DAMPING_GRID)])
 
 
 class TestCounting:
@@ -111,9 +130,8 @@ class TestFitModulation:
 
     def test_zero_energy_rejected(self):
         sig = Signal(dt=DT, samples=np.zeros(2000))
-        record = TargetRecord.from_signal(sig)
-        with pytest.raises(ValueError):
-            fit_modulation(record)
+        with pytest.raises(ValueError, match="^record has zero energy$"):
+            fit_modulation(unchecked_record(sig))
 
     def test_sign_invariance(self):
         sig = pseudo_record(7).signal
@@ -345,6 +363,15 @@ class TestArithmeticForms:
         assert ground_motion.trapezoid(y, gaps) == np.trapezoid(y, x)
         assert ground_motion.trapezoid(y, 0.01) == np.trapezoid(y, dx=0.01)
 
+    @pytest.mark.parametrize("samples, message", [
+        (np.ones(9), "record energy series too short to fit an envelope"),
+        (np.zeros(2000), "record has zero energy"),
+        (np.sin(2 * np.pi * 0.15 * np.arange(2000) * DT), "record has fewer than 5 up-crossings"),
+    ])
+    def test_record_a_fit_would_refuse_is_refused(self, samples, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TargetRecord.from_signal(Signal(dt=DT, samples=samples))
+
     def test_record_energy_equals_scipy(self):
         sig = pseudo_record(5).signal
         assert np.array_equal(TargetRecord.from_signal(sig).cumulative_energy,
@@ -449,8 +476,8 @@ class TestFitFrequencies:
 
     def test_too_few_crossings_rejected(self):
         sig = Signal(dt=DT, samples=np.sin(np.arange(100) * DT * 0.5))
-        with pytest.raises(ValueError):
-            fit_filter_frequencies(TargetRecord.from_signal(sig), 0.3)
+        with pytest.raises(ValueError, match="^record has fewer than 5 up-crossings$"):
+            fit_filter_frequencies(unchecked_record(sig), 0.3)
 
 
 class TestFitDamping:
@@ -460,7 +487,7 @@ class TestFitDamping:
         trials = 20
         for i in range(trials):
             record = pseudo_record(300 + i, filt=filt)
-            fit = fit_damping(record, i)
+            fit = fit_damping(damping_candidates(record, i))
             hits += fit.zeta_f in (0.3, 0.4, 0.5)
         assert hits >= 0.9 * trials
 
@@ -469,7 +496,7 @@ class TestFitDamping:
         small = 0
         for i in range(5):
             record = pseudo_record(600 + i, filt=filt)
-            fit = fit_damping(record, i)
+            fit = fit_damping(damping_candidates(record, i))
             small += fit.zeta_f == 0.1
         assert small >= 3
 
@@ -490,21 +517,19 @@ class TestFitDamping:
             mean_counts = acc / 3
             want.append(float(np.trapezoid((mean_counts - record.extrema_count) ** 2,
                                            record.times)))
-        assert fit_damping(record, 4).mismatches == tuple(want)
+        assert [mismatch for _, mismatch in damping_candidates(record, 4)] == want
 
     def test_ties_go_to_the_smaller_damping(self, monkeypatch):
         monkeypatch.setattr(identification, "DAMPING_GRID", (0.2, 0.3, 0.5))
-        fits = [FrequencyFit(omega0=k + 1.0, omega_n=1.0, objective=0.0, converged=True)
-                for k in range(3)]
-        fit = fit_damping(exact_energy_record(TRUE_MOD),
-                          candidates=list(zip(fits, (2.0, 1.0, 1.0))))
-        assert (fit.zeta_f, fit.frequency_fit, fit.mismatches) == (0.3, fits[1], (2.0, 1.0, 1.0))
+        fits = [FrequencyFit(omega0=k + 1.0, omega_n=1.0, converged=True) for k in range(3)]
+        fit = fit_damping(list(zip(fits, (2.0, 1.0, 1.0))))
+        assert (fit.zeta_f, fit.frequency_fit) == (0.3, fits[1])
 
     def test_single_candidate_grid(self, monkeypatch):
         record = pseudo_record(12)
         monkeypatch.setattr(identification, "DAMPING_GRID", (0.35,))
         monkeypatch.setattr(identification, "SIM_REPLICATES", 2)
-        assert fit_damping(record).zeta_f == 0.35
+        assert fit_damping(damping_candidates(record)).zeta_f == 0.35
 
 
 class TestIdentify:
@@ -599,15 +624,15 @@ class TestSharedIdentification:
         seen = []
         traced = identification.fit_damping
 
-        def recording(*args, **kwargs):
-            seen.append(traced(*args, **kwargs))
-            return seen[-1]
+        def recording(candidates):
+            seen.append(candidates)
+            return traced(candidates)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(identification, "fit_damping", recording)
             result = identify(record, seed)
         assert len(seen) == 1
-        return result.params, result.converged, seen[0].mismatches
+        return result.params, result.converged, tuple(mismatch for _, mismatch in seen[0])
 
     @pytest.mark.parametrize("vector", ["A", "B"])
     def test_shared_one_core_and_serial_runs_are_bit_identical(self, monkeypatch, vector):
@@ -634,7 +659,7 @@ class TestSharedIdentification:
         cores(monkeypatch, 2)
         sig = Signal(dt=DT, samples=np.sin(np.arange(100) * DT * 0.5))
         with pytest.raises(ValueError, match="^record has fewer than 5 up-crossings$"):
-            identify(TargetRecord.from_signal(sig))
+            identify(unchecked_record(sig))
         assert not multiprocessing.active_children()
 
 class TestParamsCsv:

@@ -388,8 +388,8 @@ class TestActiveLearning:
     def test_budget_two_is_just_the_start_pair(self, mini_pool):
         pool = mini_pool.make_pool()
         state = active_learn(pool, Kernel("linear"), budget=2, rng=np.random.default_rng(0))
-        assert len(state.labeled_indices) == 2
-        assert sorted(set(state.labels)) == [-1, 1]
+        assert state.model.labeled_refs.size == 2
+        assert sorted(set(state.model.labels)) == [-1, 1]
 
     @pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.25)])
     def test_each_query_minimizes_absolute_score(self, mini_pool, kernel):
@@ -398,7 +398,7 @@ class TestActiveLearning:
         budget = 30
         state = active_learn(pool, kernel, budget, np.random.default_rng(2),
                              eval_at=range(2, budget))
-        labeled = state.labeled_indices
+        labeled = state.model.labeled_refs.tolist()
         assert len(labeled) == len(set(labeled)) == budget
         for step in range(2, budget):
             scores = np.abs(state.checkpoints[step].score(pool.features))
@@ -431,8 +431,9 @@ class TestActiveLearning:
         start = select_start_points(pool, np.random.default_rng(1))
         assert not {5, 40} & set(start)
         state = active_learn(pool, kernel, budget=len(pool), rng=np.random.default_rng(1))
-        assert sorted(state.labeled_indices) == list(range(len(pool)))
-        assert state.labeled_indices.index(5) < state.labeled_indices.index(40)
+        labeled = state.model.labeled_refs.tolist()
+        assert sorted(labeled) == list(range(len(pool)))
+        assert labeled.index(5) < labeled.index(40)
 
     def test_budget_beyond_the_pool_is_refused(self, mini_pool):
         pool = mini_pool.make_pool()
@@ -445,7 +446,7 @@ class TestActiveLearning:
         pool_b = mini_pool.make_pool()
         state_a = active_learn(pool_a, Kernel("linear"), 30, np.random.default_rng(3))
         state_b = active_learn(pool_b, Kernel("linear"), 30, np.random.default_rng(3))
-        assert state_a.labeled_indices == state_b.labeled_indices
+        assert np.array_equal(state_a.model.labeled_refs, state_b.model.labeled_refs)
 
     def test_prbp_evaluation_and_beating_pga_baseline(self, mini_pool):
         pool = mini_pool.make_pool()
@@ -463,7 +464,7 @@ class TestActiveLearning:
         pool = mini_pool.make_pool()
         state = active_learn(pool, Kernel("linear"), 60, np.random.default_rng(7))
         refit = train_svm(
-            pool.features[state.labeled_indices], state.labels, Kernel("linear")
+            pool.features[state.model.labeled_refs], state.model.labels, Kernel("linear")
         )
         original = np.sign(state.model.score(pool.features))
         again = np.sign(refit.score(pool.features))

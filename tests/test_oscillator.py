@@ -114,20 +114,6 @@ def ragged_batch(cfg, multiple):
     return scaled
 
 
-def stepper_batch(cfg, kind):
-    """A ragged batch that yields, one that never yields, or a yielding one
-    whose every signal also comes resampled at half its sample spacing, so
-    that the batch steps on two integration grids."""
-    if kind == "elastic":
-        return ragged_batch(cfg, 0.5)
-    batch = ragged_batch(cfg, 4.0)
-    if kind == "two grids":
-        halves = [Signal(dt=s.dt / 2, samples=np.interp(
-            np.arange(2 * s.samples.size - 1) * (s.dt / 2), s.times, s.samples)) for s in batch]
-        batch = [s for pair in zip(batch, halves) for s in pair]
-    return batch
-
-
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -269,8 +255,8 @@ class TestNonlinearSolver:
             sig = sample_signal(seed=100 + seed, alpha1=2.5)
             fine_t = np.arange(2 * (sig.samples.size - 1) + 1) * (sig.dt / 2)
             fine = Signal(dt=sig.dt / 2, samples=np.interp(fine_t, sig.times, sig.samples))
-            # one batch of two time steps
-            z_coarse, z_fine = solve_nonlinear([sig, fine], CFG).samples
+            # each grid in its own call: a batch steps one grid
+            (z_coarse,), (z_fine,) = (solve_nonlinear([s], CFG).samples for s in (sig, fine))
             assert abs(z_coarse - z_fine) / z_fine < 0.005
 
 
@@ -323,12 +309,10 @@ GRIDS = [(PRESETS["2.5"], 1), (PRESETS["5"], 2), (PRESETS["10"], 4),
 
 class TestBatchedStepper:
     @pytest.mark.parametrize("cfg, n_sub", GRIDS)
-    @pytest.mark.parametrize("kind", ["yielding", "elastic", "two grids"])
+    @pytest.mark.parametrize("kind", ["yielding", "elastic"])
     def test_ragged_batch_matches_scalar_loop(self, cfg, n_sub, kind):
-        batch = stepper_batch(cfg, kind)
-        assert _refinement(batch[0], cfg.omega_l)[0] == n_sub
-        grids = {_refinement(s, cfg.omega_l) for s in batch}
-        assert len(grids) == (2 if kind == "two grids" else 1)
+        batch = ragged_batch(cfg, 0.5 if kind == "elastic" else 4.0)
+        assert {_refinement(s, cfg.omega_l)[0] for s in batch} == {n_sub}
         steps = [(s.samples.size - 1) * _refinement(s, cfg.omega_l)[0] for s in batch]
         assert max(steps) > 4 * CHUNK_STEPS and any(n % CHUNK_STEPS for n in steps)
         want = reference_peaks(batch, cfg)
@@ -338,7 +322,7 @@ class TestBatchedStepper:
             assert np.all(want > cfg.yield_y)  # every signal yields
         result = solve_nonlinear(batch, cfg)
         assert same_bits(result.samples, want)
-        assert same_bits(result.dt, [reference_solve(s, cfg).dt for s in batch])
+        assert same_bits(result.dt, reference_solve(batch[0], cfg).dt)
         # alone, and in another order
         for sig, peak in zip(batch, want):
             assert same_bits(solve_nonlinear([sig], cfg).samples, [peak])
@@ -374,7 +358,14 @@ class TestBatchedStepper:
 
     def test_empty_batch(self):
         result = solve_nonlinear([], CFG)
-        assert result.samples.shape == (0,) and result.dt.shape == (0,)
+        assert result.samples.shape == (0,) and math.isnan(result.dt)
+
+    def test_mixed_sample_spacings_are_refused(self):
+        sig = sample_signal(seed=3)
+        half = Signal(dt=sig.dt / 2, samples=sig.samples)
+        with pytest.raises(ValueError, match=r"^a batch steps one integration grid, got "
+                                             r"sample spacings \[0\.005, 0\.01\]$"):
+            solve_nonlinear([sig, half], CFG)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_and_two_sample_signals(self, n):
