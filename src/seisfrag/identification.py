@@ -38,7 +38,7 @@ SIM_REPLICATES = 20
 ADJUSTMENT_FACTOR = 0.98
 EVAL_NODES = 48  # coarse time grid for count matching
 QUAD_DT = 0.05  # pulse spacing in the rate quadrature
-MAX_ITER = 400  # Nelder-Mead iterations per frequency start, five times this per envelope start
+MAX_NFEV = 400  # least-squares evaluations per frequency start, five times this per envelope start
 
 # fixed multi-start jitter patterns (multiplicative, applied to the heuristic start)
 _MOD_START_PATTERNS = (
@@ -152,16 +152,23 @@ class IdentificationResult:
 # ---------------------------------------------------------------------------
 
 
-def _best_of_starts(objective, starts, options: dict):
-    """The Nelder-Mead result of lowest objective over the starts; the first wins ties."""
-    from scipy.optimize import minimize
+def _best_of_starts(residuals, starts, bounds: tuple, options: dict):
+    """The bounded trust-region least-squares result of lowest cost over the
+    starts, each clipped into the bounds; the first wins ties."""
+    from scipy.optimize import least_squares
 
     best = None
     for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead", options=options)
-        if best is None or res.fun < best.fun:
+        res = least_squares(residuals, np.clip(x0, *bounds), bounds=bounds, method="trf",
+                            **options)
+        if best is None or res.cost < best.cost:
             best = res
     return best
+
+
+def _root_trapezoid_weights(gaps: np.ndarray) -> np.ndarray:
+    """sqrt(w) with trapezoid(y, gaps) = sum(w * y): half the gaps beside each node."""
+    return np.sqrt((np.r_[gaps, 0.0] + np.r_[0.0, gaps]) / 2.0)
 
 
 def _quantile_time(t: np.ndarray, series: np.ndarray, fraction: float) -> float:
@@ -174,7 +181,7 @@ def fit_modulation(record: TargetRecord) -> ModulationFit:
     """Envelope parameters minimizing the integrated squared energy mismatch.
 
     The onset delay t0 is read off the first energy arrival; the remaining
-    five parameters are optimized unconstrained after a log/ordering
+    five parameters are fitted by bounded least squares after a log/ordering
     reparameterization, from several deterministic starts.
     """
     t = record.times
@@ -192,12 +199,11 @@ def fit_modulation(record: TargetRecord) -> ModulationFit:
         return ModulationParams(alpha1=a1, alpha2=a2, alpha3=a3, t1=t1, t2=t2, t0=t0)
 
     gaps = np.diff(t)
+    root_w = _root_trapezoid_weights(gaps)
 
-    def objective(u):
-        if (np.abs(u) > 50).any():
-            return 1e30
+    def residuals(u):
         e_s = cumulative_trapezoid(modulating_q(t, unpack(u)) ** 2, gaps)
-        return float(trapezoid((e_s - e_a) ** 2, gaps))
+        return root_w * (e_s - e_a)
 
     t15 = _quantile_time(t, e_a, 0.15)
     t85 = _quantile_time(t, e_a, 0.85)
@@ -208,7 +214,7 @@ def fit_modulation(record: TargetRecord) -> ModulationFit:
 
     starts = [np.log(base * np.asarray(p)) for p in _MOD_START_PATTERNS]
     best = _best_of_starts(
-        objective, starts, {"maxiter": MAX_ITER * 5, "xatol": 1e-6, "fatol": 1e-12}
+        residuals, starts, (-50.0, 50.0), {"max_nfev": MAX_NFEV * 5, "xtol": 1e-10, "ftol": 1e-12}
     )
     return ModulationFit(params=unpack(best.x), converged=bool(best.success))
 
@@ -303,16 +309,11 @@ def fit_filter_frequencies(record: TargetRecord, zeta_f: float) -> FrequencyFit:
     duration = record.duration
     ts = np.linspace(duration / EVAL_NODES, duration, EVAL_NODES)
     n_a = np.interp(ts, record.times, record.upcrossing_count)
-    gaps = np.diff(ts)
+    root_w = _root_trapezoid_weights(np.diff(ts))
 
-    def objective(v):
-        # keep the search inside a physically sensible band; the quadrature
-        # cost grows with frequency, so reject runaway candidates up front
-        if (v < math.log(0.2)).any() or (v > math.log(500.0)).any():
-            return 1e30
+    def residuals(v):
         filt = FilterParams(omega0=math.exp(v[0]), omega_n=math.exp(v[1]), zeta_f=zeta_f)
-        n_x = expected_upcrossing_count(ts, filt, duration)
-        return float(trapezoid((n_x - n_a) ** 2, gaps))
+        return root_w * (expected_upcrossing_count(ts, filt, duration) - n_a)
 
     # crossing slopes at both ends give frequency guesses (rate ~ omega / 2 pi)
     third = duration / 3.0
@@ -322,8 +323,13 @@ def fit_filter_frequencies(record: TargetRecord, zeta_f: float) -> FrequencyFit:
     wn_guess = max(2.0 * math.pi * late / ADJUSTMENT_FACTOR, 0.5)
 
     starts = [np.log([w0_guess * p0, wn_guess * p1]) for p0, p1 in _FREQ_START_PATTERNS]
+    # the band keeps the search physically sensible (the quadrature cost grows
+    # with frequency). The lag count ceil(memory / quad_dt) makes the rate
+    # piecewise in omega; a difference step of 1e-6 rather than the default
+    # ~1.5e-8 keeps a jump it straddles from swamping the derivative
     best = _best_of_starts(
-        objective, starts, {"maxiter": MAX_ITER, "xatol": 1e-3, "fatol": 1e-8}
+        residuals, starts, (math.log(0.2), math.log(500.0)),
+        {"max_nfev": MAX_NFEV, "xtol": 1e-8, "ftol": 1e-10, "diff_step": 1e-6},
     )
     return FrequencyFit(
         omega0=float(math.exp(best.x[0])),

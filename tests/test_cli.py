@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seisfrag import cli, fragility, learning
+from seisfrag import cli, fragility, identification, learning
 from seisfrag import preprocess as prep
 from seisfrag.cli import (
     RunConfig,
@@ -1085,6 +1085,20 @@ class TestIdentifyCommand:
         assert len(dest.read_text().splitlines()) == 3
         assert [r.getMessage() for r in caplog.records] == [
             f"{paths[1]}: identification did not converge"
+        ]
+
+    def test_fits_stopped_at_the_evaluation_cap_are_logged(self, tmp_path, monkeypatch, caplog):
+        params = GroundMotionParams(
+            ModulationParams(alpha1=1.5, alpha2=0.6, alpha3=1.2, t1=2.0, t2=7.0),
+            FilterParams(omega0=2 * np.pi * 8, omega_n=2 * np.pi * 4, zeta_f=0.3),
+        )
+        path = str(tmp_path / "record.csv")
+        write_signal_csv(path, synthesize(params, rng=np.random.default_rng(1)))
+        monkeypatch.setattr(identification, "MAX_NFEV", 1)
+        with caplog.at_level(logging.WARNING, logger="seisfrag.cli"):
+            cmd_identify(smoke_config(tmp_path / "ident"), [path])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: identification did not converge"
         ]
 
 

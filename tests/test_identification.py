@@ -334,21 +334,30 @@ def min_loop_rate(ts, filt, quad_dt, ramp_duration):
     return np.sqrt(sdot2) / (2.0 * math.pi)
 
 
-def captured_objective(monkeypatch, fit, *args):
-    """The Nelder-Mead objective a fit builds, and its first start."""
-    seen = {}
+def recorded_solves(monkeypatch) -> list:
+    """Every `_best_of_starts` call of the fits, recorded with its result."""
+    solves = []
+    solve = identification._best_of_starts
 
-    def first_start(objective, starts, options):
-        seen.update(objective=objective, start=np.asarray(starts[0]))
-        return SimpleNamespace(x=starts[0], fun=objective(starts[0]), success=True)
+    def recording(residuals, starts, bounds, options):
+        best = solve(residuals, starts, bounds, options)
+        solves.append(SimpleNamespace(residuals=residuals, starts=starts, bounds=bounds,
+                                      best=best))
+        return best
 
-    monkeypatch.setattr(identification, "_best_of_starts", first_start)
-    fit(*args)
-    return seen["objective"], seen["start"]
+    monkeypatch.setattr(identification, "_best_of_starts", recording)
+    return solves
+
+
+def assert_sum_of_squares_equals(residuals, objective, points):
+    for x in points:
+        want = objective(x)
+        assert abs(float(np.sum(residuals(x) ** 2)) - want) <= 1e-12 * want
 
 
 class TestArithmeticForms:
-    """The identification hot paths equal their library forms bit for bit."""
+    """The identification hot paths equal their library forms bit for bit; the
+    fits' sums of squared residuals equal their scipy-form objectives to 1e-12."""
 
     @pytest.mark.parametrize("size", [1, 2, 3, 17, 2501])
     def test_integrators_equal_scipy_and_numpy(self, size):
@@ -395,13 +404,15 @@ class TestArithmeticForms:
 
     def test_modulation_objective_equals_scipy_form(self, monkeypatch):
         record = pseudo_record(21)
-        objective, start = captured_objective(monkeypatch, fit_modulation, record)
+        solves = recorded_solves(monkeypatch)
+        fit_modulation(record)
+        residuals, bounds = solves[0].residuals, solves[0].bounds
+        assert bounds == (-50.0, 50.0)
+        start = solves[0].starts[0]
         t, e_a = record.times, record.cumulative_energy
         t0 = float(t[max(int(np.argmax(e_a > 1e-12 * e_a[-1])) - 1, 0)])
 
         def scipy_form(u):
-            if np.any(np.abs(u) > 50):
-                return 1e30
             t1 = t0 + math.exp(u[3])
             m = ModulationParams(alpha1=math.exp(u[0]), alpha2=math.exp(u[1]),
                                  alpha3=math.exp(u[2]), t1=t1, t2=t1 + math.exp(u[4]), t0=t0)
@@ -409,23 +420,23 @@ class TestArithmeticForms:
             return float(np.trapezoid((e_s - e_a) ** 2, t))
 
         rng = np.random.default_rng(8)
-        points = [start + rng.normal(0.0, 1.0, 5) for _ in range(46)]
-        points += [start + np.r_[0, 0, 0, -60.0, 0], start + np.r_[51.0, 0, 0, 0, 0],
-                   np.r_[start[:3], -45.0, -45.0], np.zeros(5)]
-        for u in points:
-            assert objective(u) == scipy_form(u)
+        points = [start + rng.normal(0.0, 1.0, 5) for _ in range(48)]
+        points += [np.r_[start[:3], -45.0, -45.0], np.zeros(5)]
+        assert_sum_of_squares_equals(residuals, scipy_form, points)
 
     def test_frequency_objective_equals_scipy_form(self, monkeypatch):
         record = pseudo_record(22)
-        objective, start = captured_objective(monkeypatch, fit_filter_frequencies, record, 0.3)
+        solves = recorded_solves(monkeypatch)
+        fit_filter_frequencies(record, 0.3)
+        residuals, bounds = solves[0].residuals, solves[0].bounds
+        assert bounds == (math.log(0.2), math.log(500.0))
+        start = solves[0].starts[0]
         duration = record.duration
         nodes = identification.EVAL_NODES
         ts = np.linspace(duration / nodes, duration, nodes)
         n_a = np.interp(ts, record.times, record.upcrossing_count)
 
         def scipy_form(v):
-            if np.any(v < math.log(0.2)) or np.any(v > math.log(500.0)):
-                return 1e30
             filt = FilterParams(omega0=math.exp(v[0]), omega_n=math.exp(v[1]), zeta_f=0.3)
             nu = min_loop_rate(ts, filt, identification.QUAD_DT, duration)
             n_x = identification.ADJUSTMENT_FACTOR * (
@@ -434,10 +445,55 @@ class TestArithmeticForms:
             return float(np.trapezoid((n_x - n_a) ** 2, ts))
 
         rng = np.random.default_rng(9)
-        points = [start + rng.normal(0.0, 0.5, 2) for _ in range(47)]
-        points += [np.log([0.1, 30.0]), np.log([30.0, 600.0]), np.log([0.2, 500.0])]
-        for v in points:
-            assert objective(v) == scipy_form(v)
+        points = [start + rng.normal(0.0, 0.5, 2) for _ in range(49)]
+        points += [np.log([0.2, 500.0])]
+        assert_sum_of_squares_equals(residuals, scipy_form, points)
+
+
+def nelder_mead_best(objective, starts, options):
+    """The fits' solver before least squares: multi-start Nelder-Mead, the
+    result of lowest objective over the starts; the first wins ties."""
+    from scipy.optimize import minimize
+
+    best = None
+    for x0 in starts:
+        res = minimize(objective, x0, method="Nelder-Mead", options=options)
+        if best is None or res.fun < best.fun:
+            best = res
+    return best
+
+
+def oracle_cost(solve, options) -> float:
+    """Half the lowest sum of squares Nelder-Mead reaches from the solve's
+    starts, with the bounds as the 1e30 barrier the objectives had."""
+    lo, hi = solve.bounds
+
+    def objective(x):
+        if (x < lo).any() or (x > hi).any():
+            return 1e30
+        return float(np.sum(solve.residuals(x) ** 2))
+
+    return 0.5 * nelder_mead_best(objective, solve.starts, options).fun
+
+
+class TestNelderMeadOracle:
+    """Least squares reaches at least the optimum the multi-start Nelder-Mead
+    it replaced reaches from the same starts, to 1e-6 relative."""
+
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_envelope(self, monkeypatch, seed):
+        solves = recorded_solves(monkeypatch)
+        fit_modulation(pseudo_record(seed))
+        oracle = oracle_cost(solves[0], {"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-12})
+        assert solves[0].best.cost <= oracle * (1 + 1e-6)
+
+    @pytest.mark.parametrize("zeta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_frequencies(self, monkeypatch, seed, zeta):
+        solves = recorded_solves(monkeypatch)
+        fit_filter_frequencies(pseudo_record(seed), zeta)
+        oracle = oracle_cost(solves[0], {"maxiter": 400, "xatol": 1e-3, "fatol": 1e-8})
+        assert solves[0].best.cost <= oracle * (1 + 1e-6)
 
 
 class TestFitFrequencies:
@@ -478,6 +534,42 @@ class TestFitFrequencies:
         sig = Signal(dt=DT, samples=np.sin(np.arange(100) * DT * 0.5))
         with pytest.raises(ValueError, match="^record has fewer than 5 up-crossings$"):
             fit_filter_frequencies(unchecked_record(sig), 0.3)
+
+    def test_start_beyond_the_band_is_clipped_into_it(self, monkeypatch):
+        # at 200 Hz a filter near 45 Hz guesses above 250 rad/s, so the x2 start
+        # pattern lies beyond the 500 rad/s band edge
+        filt = FilterParams(omega0=2 * np.pi * 45, omega_n=2 * np.pi * 45, zeta_f=0.3)
+        sig = synthesize(GroundMotionParams(TRUE_MOD, filt), duration=DURATION, dt=0.005,
+                         rng=np.random.default_rng(45))
+        solves = recorded_solves(monkeypatch)
+        fit = fit_filter_frequencies(TargetRecord.from_signal(sig), 0.3)
+        assert max(np.max(x0) for x0 in solves[0].starts) > math.log(500.0)
+        assert fit.converged
+        for omega in (fit.omega0, fit.omega_n):
+            assert omega == pytest.approx(filt.omega0, rel=0.1)
+
+
+class TestEvaluationCap:
+    def test_capped_fits_are_not_converged(self, monkeypatch):
+        monkeypatch.setattr(identification, "MAX_NFEV", 1)
+        record = pseudo_record(13)
+        assert not fit_modulation(record).converged
+        assert not fit_filter_frequencies(record, 0.3).converged
+        assert not identify(record, 2).converged
+
+    def test_fits_do_least_squares_scale_work(self, monkeypatch):
+        calls = {"expected_upcrossing_count": 0, "modulating_q": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(identification, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(identification, name, counted)
+        record = pseudo_record(13)
+        fit_filter_frequencies(record, TRUE_FILTER.zeta_f)
+        fit_modulation(record)
+        # multi-start Nelder-Mead made about 456 and 5 590 of these calls
+        assert calls["expected_upcrossing_count"] <= 200
+        assert calls["modulating_q"] <= 1000
 
 
 class TestFitDamping:
