@@ -38,9 +38,9 @@ SIM_REPLICATES = 20
 ADJUSTMENT_FACTOR = 0.98
 EVAL_NODES = 48  # coarse time grid for count matching
 QUAD_DT = 0.05  # pulse spacing in the rate quadrature
-MAX_NFEV = 400  # least-squares evaluations per frequency start, five times this per envelope start
+MAX_NFEV = 400  # least-squares evaluations per frequency fit, five times this per envelope start
 
-# fixed multi-start jitter patterns (multiplicative, applied to the heuristic start)
+# the envelope's multi-start jitter patterns (multiplicative, applied to the heuristic start)
 _MOD_START_PATTERNS = (
     (1.0, 1.0, 1.0, 1.0, 1.0),
     (1.4, 0.5, 1.0, 0.6, 1.4),
@@ -48,7 +48,6 @@ _MOD_START_PATTERNS = (
     (1.2, 1.0, 1.4, 0.9, 1.1),
     (0.9, 1.5, 0.8, 1.3, 0.7),
 )
-_FREQ_START_PATTERNS = ((1.0, 1.0), (1.5, 0.7), (0.7, 1.5), (2.0, 1.0), (1.0, 2.0))
 
 
 def count_upcrossings(samples: np.ndarray) -> np.ndarray:
@@ -237,22 +236,13 @@ def _rate_at_times(
     The pulse applied at tau = t - lag has frequency omega(tau), and one
     phasor p = exp(c omega(tau) lag), c = -zeta + i sqrt(1 - zeta^2), carries
     its decay and phase: h = omega / root * Im p and
-    h_dot = omega^2 / root * Im(c p). On evenly spaced nodes omega(tau) moves
-    by slope * gap from one node to the next at every lag, so each row of
-    phasors is its neighbour times exp(c |slope| gap lag). The recurrence runs
-    in the direction in which the phasors shrink, forward in time on a rising
-    ramp and backward on a falling one, and starts each pulse from its exact
-    phasor at the first node of that order where it exists; cells whose pulse
-    does not exist stay exact zeros.
+    h_dot = omega^2 / root * Im(c p). Cells whose pulse does not exist yet
+    (tau < 0) are zeroed; their phasor is taken at omega(0), since omega
+    extrapolated before the record can make exp overflow.
     """
     ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("rate nodes must be a non-empty 1-D grid")
-    k = ts.size
-    gap = (ts[-1] - ts[0]) / max(k - 1, 1)
-    drift = np.abs(ts - (ts[0] + np.arange(k) * gap))
-    if gap < 0 or (drift > 4.0 * np.finfo(float).eps * abs(ts[-1])).any():
-        raise ValueError("rate nodes must be evenly spaced and non-decreasing")
+    if ts.ndim != 1 or ts.size == 0 or (np.diff(ts) < 0).any():
+        raise ValueError("rate nodes must be a non-empty, non-decreasing 1-D grid")
     zf = filt.zeta_f
     omega_max = max(filt.omega0, filt.omega_n)
     omega_min = min(filt.omega0, filt.omega_n)
@@ -263,28 +253,13 @@ def _rate_at_times(
     memory = min(8.0 / (zf * omega_min), float(ts[-1]))
     lags = (np.arange(int(math.ceil(memory / quad_dt))) + 0.5) * quad_dt
 
-    root = math.sqrt(1.0 - zf**2)
-    c = complex(-zf, root)
-    slope = (filt.omega_n - filt.omega0) / max(ramp_duration, 1e-12)
-    step = np.exp(c * abs(slope) * gap * lags)
-    alive = np.searchsorted(lags, ts, side="right").tolist()  # pulses existing at each node
-    if slope >= 0:
-        order, start = range(k), ts[np.minimum(np.searchsorted(ts, lags), k - 1)]
-    else:
-        order, start = range(k - 1, -1, -1), ts[-1]
-    anchors = np.exp(c * filt.omega_at(np.maximum(start - lags, 0.0), ramp_duration) * lags)
-    phasors = np.zeros((k, lags.size), dtype=complex)
-    row, live = phasors[0, :0], 0  # the previous node's phasors and how many exist
-    for r in order:
-        n = alive[r]
-        if n > live:  # new pulses start from their anchors
-            np.multiply(row[:live], step[:live], out=phasors[r, :live])
-            phasors[r, live:n] = anchors[live:n]
-        else:
-            np.multiply(row[:n], step[:n], out=phasors[r, :n])
-        row, live = phasors[r], n
-
-    omegas = np.subtract.outer(filt.omega_at(ts, ramp_duration), slope * lags)
+    c = complex(-zf, math.sqrt(1.0 - zf**2))
+    taus = np.subtract.outer(ts, lags)
+    unborn = taus < 0
+    omegas = filt.omega_at(np.maximum(taus, 0.0, out=taus), ramp_duration)
+    phasors = omegas * (c * lags)
+    np.exp(phasors, out=phasors)
+    phasors[unborn] = 0.0
     h = omegas * phasors.imag  # root * h
     phasors *= c  # Im(c p) = root Re p - zeta Im p
     h_dot = np.square(omegas, out=omegas)
@@ -322,13 +297,13 @@ def fit_filter_frequencies(record: TargetRecord, zeta_f: float) -> FrequencyFit:
     w0_guess = max(2.0 * math.pi * early / ADJUSTMENT_FACTOR, 0.5)
     wn_guess = max(2.0 * math.pi * late / ADJUSTMENT_FACTOR, 0.5)
 
-    starts = [np.log([w0_guess * p0, wn_guess * p1]) for p0, p1 in _FREQ_START_PATTERNS]
-    # the band keeps the search physically sensible (the quadrature cost grows
-    # with frequency). The lag count ceil(memory / quad_dt) makes the rate
+    # one start: starts scattered around it reach the same optimum. The band
+    # keeps the search physically sensible (the quadrature cost grows with
+    # frequency). The lag count ceil(memory / quad_dt) makes the rate
     # piecewise in omega; a difference step of 1e-6 rather than the default
     # ~1.5e-8 keeps a jump it straddles from swamping the derivative
     best = _best_of_starts(
-        residuals, starts, (math.log(0.2), math.log(500.0)),
+        residuals, [np.log([w0_guess, wn_guess])], (math.log(0.2), math.log(500.0)),
         {"max_nfev": MAX_NFEV, "xtol": 1e-8, "ftol": 1e-10, "diff_step": 1e-6},
     )
     return FrequencyFit(

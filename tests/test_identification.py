@@ -278,60 +278,15 @@ class TestRateKernel:
         assert np.max(np.abs(got - want) / want) <= 1e-12
 
     @pytest.mark.parametrize("ts", [
-        np.array([0.5, 1.0, 2.0, 2.5]),
-        np.linspace(0.5, 10.0, 20) + np.r_[np.zeros(19), 1e-6],
         np.linspace(10.0, 0.5, 20),
         np.array([[0.5, 1.0], [1.5, 2.0]]),
         np.array([]),
     ])
-    def test_uneven_or_malformed_grid_refused(self, ts):
+    def test_decreasing_or_malformed_grid_refused(self, ts):
         with pytest.raises(ValueError):
             _rate_at_times(ts, TRUE_FILTER, 0.05, DURATION)
         with pytest.raises(ValueError):
             expected_upcrossing_count(ts, TRUE_FILTER, DURATION)
-
-
-def min_loop_rate(ts, filt, quad_dt, ramp_duration):
-    """_rate_at_times with its node loop in the form that takes min(n, live)
-    on every row and stores the (mostly empty) anchor slice every time."""
-    ts = np.asarray(ts, dtype=float)
-    k = ts.size
-    gap = (ts[-1] - ts[0]) / max(k - 1, 1)
-    zf = filt.zeta_f
-    omega_max = max(filt.omega0, filt.omega_n)
-    omega_min = min(filt.omega0, filt.omega_n)
-    quad_dt = min(quad_dt, 2.0 * math.pi / (32.0 * omega_max))
-    memory = min(8.0 / (zf * omega_min), float(ts[-1]))
-    lags = (np.arange(int(math.ceil(memory / quad_dt))) + 0.5) * quad_dt
-
-    root = math.sqrt(1.0 - zf**2)
-    c = complex(-zf, root)
-    slope = (filt.omega_n - filt.omega0) / max(ramp_duration, 1e-12)
-    step = np.exp(c * abs(slope) * gap * lags)
-    alive = np.searchsorted(lags, ts, side="right").tolist()
-    if slope >= 0:
-        order, start = range(k), ts[np.minimum(np.searchsorted(ts, lags), k - 1)]
-    else:
-        order, start = range(k - 1, -1, -1), ts[-1]
-    anchors = np.exp(c * filt.omega_at(np.maximum(start - lags, 0.0), ramp_duration) * lags)
-    phasors = np.zeros((k, lags.size), dtype=complex)
-    row, live = phasors[0, :0], 0
-    for r in order:
-        n = alive[r]
-        m = min(n, live)
-        np.multiply(row[:m], step[:m], out=phasors[r, :m])
-        phasors[r, live:n] = anchors[live:n]
-        row, live = phasors[r], n
-
-    omegas = np.subtract.outer(filt.omega_at(ts, ramp_duration), slope * lags)
-    h = omegas * phasors.imag
-    phasors *= c
-    h_dot = np.square(omegas, out=omegas)
-    h_dot *= phasors.imag
-    sig2 = np.einsum("ij,ij->i", h, h)
-    cross = np.einsum("ij,ij->i", h, h_dot)
-    sdot2 = (np.einsum("ij,ij->i", h_dot, h_dot) - cross**2 / sig2) / sig2
-    return np.sqrt(sdot2) / (2.0 * math.pi)
 
 
 def recorded_solves(monkeypatch) -> list:
@@ -342,7 +297,7 @@ def recorded_solves(monkeypatch) -> list:
     def recording(residuals, starts, bounds, options):
         best = solve(residuals, starts, bounds, options)
         solves.append(SimpleNamespace(residuals=residuals, starts=starts, bounds=bounds,
-                                      best=best))
+                                      options=options, best=best))
         return best
 
     monkeypatch.setattr(identification, "_best_of_starts", recording)
@@ -386,22 +341,6 @@ class TestArithmeticForms:
         assert np.array_equal(TargetRecord.from_signal(sig).cumulative_energy,
                               cumulative_trapezoid(sig.samples**2, dx=sig.dt, initial=0.0))
 
-    @pytest.mark.parametrize("zeta", [0.1, 0.5, 0.9])
-    @pytest.mark.parametrize("omega0, omega_n, duration", RAMPS)
-    def test_rate_equals_min_loop(self, zeta, omega0, omega_n, duration):
-        filt = FilterParams(omega0=omega0, omega_n=omega_n, zeta_f=zeta)
-        ts = np.linspace(duration / 48, duration, 48)
-        assert np.array_equal(_rate_at_times(ts, filt, 0.05, duration),
-                              min_loop_rate(ts, filt, 0.05, duration))
-
-    @pytest.mark.parametrize("omega0, omega_n", [(6.0, 3.0), (3.0, 6.0), (4.0, 4.0)])
-    def test_rate_equals_min_loop_while_pulses_appear(self, omega0, omega_n):
-        # memory 27 s over nodes up to 1.5 s: new pulses appear at every node
-        filt = FilterParams(omega0=omega0, omega_n=omega_n, zeta_f=0.1)
-        for ts in (np.linspace(0.02, 1.5, 30), np.array([0.7])):
-            assert np.array_equal(_rate_at_times(ts, filt, 0.01, 20.0),
-                                  min_loop_rate(ts, filt, 0.01, 20.0))
-
     def test_modulation_objective_equals_scipy_form(self, monkeypatch):
         record = pseudo_record(21)
         solves = recorded_solves(monkeypatch)
@@ -438,7 +377,7 @@ class TestArithmeticForms:
 
         def scipy_form(v):
             filt = FilterParams(omega0=math.exp(v[0]), omega_n=math.exp(v[1]), zeta_f=0.3)
-            nu = min_loop_rate(ts, filt, identification.QUAD_DT, duration)
+            nu = direct_rate(ts, filt, identification.QUAD_DT, duration)
             n_x = identification.ADJUSTMENT_FACTOR * (
                 cumulative_trapezoid(nu, ts, initial=0.0) + nu[0] * ts[0]
             )
@@ -496,6 +435,28 @@ class TestNelderMeadOracle:
         assert solves[0].best.cost <= oracle * (1 + 1e-6)
 
 
+# the frequency fit's start patterns before it took one start (multiplicative,
+# applied to the heuristic start)
+FORMER_FREQ_START_PATTERNS = ((1.0, 1.0), (1.5, 0.7), (0.7, 1.5), (2.0, 1.0), (1.0, 2.0))
+
+
+class TestFormerStartsOracle:
+    """The frequency fit's one start reaches the best cost of the five start
+    patterns it replaced, to 1e-10 relative."""
+
+    @pytest.mark.parametrize("zeta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_one_start_reaches_the_best_of_five(self, monkeypatch, seed, zeta):
+        solve_all = identification._best_of_starts
+        solves = recorded_solves(monkeypatch)
+        fit_filter_frequencies(pseudo_record(seed), zeta)
+        (solve,) = solves
+        (start,) = solve.starts
+        starts = [start + np.log(p) for p in FORMER_FREQ_START_PATTERNS]
+        oracle = solve_all(solve.residuals, starts, solve.bounds, solve.options)
+        assert solve.best.cost <= oracle.cost * (1 + 1e-10)
+
+
 class TestFitFrequencies:
     def test_round_trip_average(self):
         estimates = []
@@ -536,17 +497,17 @@ class TestFitFrequencies:
             fit_filter_frequencies(unchecked_record(sig), 0.3)
 
     def test_start_beyond_the_band_is_clipped_into_it(self, monkeypatch):
-        # at 200 Hz a filter near 45 Hz guesses above 250 rad/s, so the x2 start
-        # pattern lies beyond the 500 rad/s band edge
-        filt = FilterParams(omega0=2 * np.pi * 45, omega_n=2 * np.pi * 45, zeta_f=0.3)
-        sig = synthesize(GroundMotionParams(TRUE_MOD, filt), duration=DURATION, dt=0.005,
+        # at 500 Hz a filter at 79 Hz (496 rad/s) guesses about 506 rad/s from
+        # its crossing slopes, beyond the 500 rad/s band edge
+        filt = FilterParams(omega0=2 * np.pi * 79, omega_n=2 * np.pi * 79, zeta_f=0.3)
+        sig = synthesize(GroundMotionParams(TRUE_MOD, filt), duration=DURATION, dt=0.002,
                          rng=np.random.default_rng(45))
         solves = recorded_solves(monkeypatch)
         fit = fit_filter_frequencies(TargetRecord.from_signal(sig), 0.3)
-        assert max(np.max(x0) for x0 in solves[0].starts) > math.log(500.0)
+        assert np.max(solves[0].starts) > math.log(500.0)
         assert fit.converged
         for omega in (fit.omega0, fit.omega_n):
-            assert omega == pytest.approx(filt.omega0, rel=0.1)
+            assert omega == pytest.approx(filt.omega0, rel=0.01)
 
 
 class TestEvaluationCap:
@@ -567,8 +528,9 @@ class TestEvaluationCap:
         record = pseudo_record(13)
         fit_filter_frequencies(record, TRUE_FILTER.zeta_f)
         fit_modulation(record)
-        # multi-start Nelder-Mead made about 456 and 5 590 of these calls
-        assert calls["expected_upcrossing_count"] <= 200
+        # multi-start Nelder-Mead made about 456 and 5 590 of these calls, and
+        # five frequency starts of least squares about 100
+        assert calls["expected_upcrossing_count"] <= 40
         assert calls["modulating_q"] <= 1000
 
 
