@@ -268,6 +268,24 @@ class TestRateKernel:
             want = direct_rate([t], filt, 0.01, ramp)[0]
             assert abs(got - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("fractions", [
+        np.array([0.2, 0.4, 0.8, 0.9, 1.0]),
+        np.linspace(0.05, 1.0, 20) + np.r_[np.zeros(10), 1e-6, np.zeros(9)],
+    ])
+    @pytest.mark.parametrize("omega0, omega_n, duration", RAMPS)
+    def test_uneven_grid_matches_direct_formula(self, fractions, omega0, omega_n, duration):
+        # each node's phasors are computed on their own, so the spacing is free
+        filt = FilterParams(omega0=omega0, omega_n=omega_n, zeta_f=0.3)
+        ts = fractions * duration
+        assert_rates_close(_rate_at_times(ts, filt, 0.05, duration),
+                           direct_rate(ts, filt, 0.05, duration))
+        nu = direct_rate(ts, filt, identification.QUAD_DT, duration)
+        want = identification.ADJUSTMENT_FACTOR * (
+            cumulative_trapezoid(nu, ts, initial=0.0) + nu[0] * ts[0]
+        )
+        got = expected_upcrossing_count(ts, filt, duration)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
     def test_expected_count_uses_the_kernel(self):
         ts = np.linspace(DURATION / 48, DURATION, 48)
         nu = direct_rate(ts, TRUE_FILTER, identification.QUAD_DT, DURATION)
